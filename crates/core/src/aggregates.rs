@@ -45,12 +45,11 @@ use cqshap_query::{ConjunctiveQuery, QueryBuilder, Term, Var};
 use crate::anyquery::AnyQuery;
 use crate::budget::{self, CancelToken};
 use crate::compiled::CompiledCount;
+use crate::compiled_union::{check_endogenous, cq_terms, SignedSum};
 use crate::error::CoreError;
-use crate::exoshap;
-use crate::satcount::{BruteForceCounter, HierarchicalCounter};
 use crate::shapley::{
-    engine_values, resolve_strategy, shapley_by_permutations_cancel, shapley_via_counts,
-    ReportStats, ResolvedStrategy, ShapleyOptions, ShapleyReport,
+    enumerated_value, per_fact, resolve_strategy, term_value, ReportStats, ResolvedStrategy,
+    ShapleyOptions, ShapleyReport,
 };
 
 /// The supported aggregate functions.
@@ -385,7 +384,8 @@ impl AggregatePlan {
 }
 
 /// One candidate's Shapley value for one fact, under an
-/// already-resolved strategy.
+/// already-resolved strategy: its terms evaluated per fact, or
+/// enumeration.
 pub(crate) fn candidate_value(
     db: &Database,
     resolved: ResolvedStrategy,
@@ -394,38 +394,9 @@ pub(crate) fn candidate_value(
     options: &ShapleyOptions,
     cancel: Option<&CancelToken>,
 ) -> Result<BigRational, CoreError> {
-    match resolved {
-        ResolvedStrategy::Hierarchical => {
-            shapley_via_counts(db, AnyQuery::Cq(query), f, &HierarchicalCounter)
-        }
-        ResolvedStrategy::ExoShap => {
-            let outcome = exoshap::rewrite(db, query, options.tuple_budget)?;
-            if outcome.always_false {
-                return Ok(BigRational::zero());
-            }
-            shapley_via_counts(
-                &outcome.db,
-                AnyQuery::Cq(&outcome.query),
-                f,
-                &HierarchicalCounter,
-            )
-        }
-        ResolvedStrategy::BruteForce => {
-            let counter = BruteForceCounter::with_limit(options.brute_force_limit)
-                .with_threads(options.threads);
-            let counter = match cancel {
-                Some(token) => counter.with_cancel(token.clone()),
-                None => counter,
-            };
-            shapley_via_counts(db, AnyQuery::Cq(query), f, &counter)
-        }
-        ResolvedStrategy::Permutations => shapley_by_permutations_cancel(
-            db,
-            AnyQuery::Cq(query),
-            f,
-            options.permutation_limit,
-            cancel,
-        ),
+    match cq_terms(db, query, resolved, options.tuple_budget)? {
+        Some(terms) => term_value(db, &terms, f),
+        None => enumerated_value(db, AnyQuery::Cq(query), f, resolved, options, cancel),
     }
 }
 
@@ -460,32 +431,16 @@ pub fn aggregate_shapley(
     Ok(acc)
 }
 
-/// How one prepared candidate is served: a compiled engine (possibly
-/// against its own rewritten database), a constant zero, or per-fact
-/// enumeration.
-pub(crate) enum CandidateEngine {
-    /// Hierarchical residual: the engine runs against the session's db.
-    Direct(CompiledCount),
-    /// `ExoShap` residual: the engine runs against the rewritten db.
-    Rewritten {
-        db: Box<Database>,
-        engine: CompiledCount,
-    },
-    /// The rewriting proved the residual always false.
-    AlwaysFalse,
-    /// Brute-force strategies: evaluated per fact, no compiled state.
-    PerFact,
-}
-
-/// A candidate with its prepared engine.
+/// A candidate with its terms compiled at the counting domain (`None`
+/// under the enumeration strategies, which evaluate per fact).
 pub(crate) struct PreparedCandidate {
     pub(crate) weight: BigRational,
     pub(crate) query: ConjunctiveQuery,
-    pub(crate) engine: CandidateEngine,
+    pub(crate) engine: Option<SignedSum<CompiledCount>>,
 }
 
-/// An [`AggregatePlan`] with every tractable candidate's batched
-/// engine compiled once — the aggregate state behind
+/// An [`AggregatePlan`] with every tractable candidate's terms compiled
+/// once — the aggregate state behind
 /// [`crate::session::ShapleySession::prepare_aggregate`].
 pub(crate) struct AggregateEngines {
     pub(crate) groups: Vec<(ResolvedStrategy, Vec<PreparedCandidate>)>,
@@ -501,12 +456,6 @@ impl AggregateEngines {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, CoreError> {
         let _span = Span::enter(obs_phase::AGGREGATE_PREPARE);
-        let compile = |target: &Database, query: &ConjunctiveQuery| match cancel {
-            Some(token) => {
-                CompiledCount::compile_with_cancel(target, query, options.threads, token.clone())
-            }
-            None => CompiledCount::compile_with_threads(target, query, options.threads),
-        };
         let plan = AggregatePlan::prepare(db, q, agg, options)?;
         let stats = plan.stats();
         let mut groups = Vec::with_capacity(plan.groups.len());
@@ -520,26 +469,9 @@ impl AggregateEngines {
                         Some(prepared.len()),
                     )?;
                 }
-                let engine = match group.resolved {
-                    ResolvedStrategy::Hierarchical => {
-                        CandidateEngine::Direct(compile(db, &c.query)?)
-                    }
-                    ResolvedStrategy::ExoShap => {
-                        let outcome = exoshap::rewrite(db, &c.query, options.tuple_budget)?;
-                        if outcome.always_false {
-                            CandidateEngine::AlwaysFalse
-                        } else {
-                            let engine = compile(&outcome.db, &outcome.query)?;
-                            CandidateEngine::Rewritten {
-                                db: Box::new(outcome.db),
-                                engine,
-                            }
-                        }
-                    }
-                    ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-                        CandidateEngine::PerFact
-                    }
-                };
+                let engine = cq_terms(db, &c.query, group.resolved, options.tuple_budget)?
+                    .map(|terms| SignedSum::compile(terms, db, options.threads, cancel))
+                    .transpose()?;
                 prepared.push(PreparedCandidate {
                     weight: c.weight,
                     query: c.query,
@@ -553,6 +485,10 @@ impl AggregateEngines {
 
     /// The weighted per-fact value vector over `facts`, engine-backed
     /// wherever an engine was prepared.
+    ///
+    /// # Errors
+    /// [`CoreError::FactNotEndogenous`] for any `f ∉ Dn`, plus anything
+    /// the engines and enumerations raise.
     pub(crate) fn values(
         &self,
         db: &Database,
@@ -560,47 +496,37 @@ impl AggregateEngines {
         options: &ShapleyOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<BigRational>, CoreError> {
+        for &f in facts {
+            check_endogenous(db, f)?;
+        }
         let mut acc = vec![BigRational::zero(); facts.len()];
         for (resolved, candidates) in &self.groups {
-            match resolved {
-                ResolvedStrategy::Hierarchical | ResolvedStrategy::ExoShap => {
-                    for c in candidates {
-                        if let Some(token) = cancel {
-                            budget::check(token, cqshap_obs::phase::AGGREGATE)?;
-                        }
-                        match &c.engine {
-                            CandidateEngine::Direct(engine) => weighted_add(
-                                &mut acc,
-                                &c.weight,
-                                engine_values(db, engine, facts, options.threads)?,
-                            ),
-                            CandidateEngine::Rewritten { db: rw_db, engine } => weighted_add(
-                                &mut acc,
-                                &c.weight,
-                                engine_values(rw_db, engine, facts, options.threads)?,
-                            ),
-                            CandidateEngine::AlwaysFalse => {}
-                            // cqshap-lint: allow(no-panic) -- per-fact candidates were routed away by the dispatch above
-                            CandidateEngine::PerFact => unreachable!("tractable group"),
-                        }
-                    }
+            let mut enumerated = Vec::new();
+            for c in candidates {
+                if let Some(token) = cancel {
+                    budget::check(token, cqshap_obs::phase::AGGREGATE)?;
                 }
-                ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-                    let values = crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                        let mut v = BigRational::zero();
-                        for c in candidates {
-                            let cv = candidate_value(
-                                db, *resolved, &c.query, facts[i], options, cancel,
-                            )?;
-                            v += &(&c.weight * &cv);
-                        }
-                        Ok::<BigRational, CoreError>(v)
-                    })
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
-                    weighted_add(&mut acc, &BigRational::one(), values);
+                match &c.engine {
+                    Some(sum) => weighted_add(
+                        &mut acc,
+                        &c.weight,
+                        sum.values(db, facts, options.threads)?.0,
+                    ),
+                    None => enumerated.push(c),
                 }
             }
+            if enumerated.is_empty() {
+                continue;
+            }
+            let values = per_fact(options.threads, facts, |f| {
+                let mut v = BigRational::zero();
+                for c in &enumerated {
+                    let cv = candidate_value(db, *resolved, &c.query, f, options, cancel)?;
+                    v += &(&c.weight * &cv);
+                }
+                Ok(v)
+            })?;
+            weighted_add(&mut acc, &BigRational::one(), values);
         }
         Ok(acc)
     }

@@ -44,7 +44,7 @@ pub mod anyquery;
 pub mod approx;
 pub mod budget;
 pub mod compiled;
-pub mod compiled_union;
+pub(crate) mod compiled_union;
 pub mod domain;
 pub mod error;
 pub mod exoshap;
@@ -60,7 +60,6 @@ pub use anyquery::AnyQuery;
 pub use approx::{AnytimeParams, AnytimeReport, FactEstimate};
 pub use budget::{Budget, CancelToken};
 pub use compiled::{CompiledCount, CompiledProbability, EngineUpdate};
-pub use compiled_union::CompiledUnionCount;
 pub use domain::{
     probability_by_enumeration, probability_by_enumeration_cancel, CountingDomain, EvalDomain,
     FactProbabilities, ProbabilityDomain,

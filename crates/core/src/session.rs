@@ -1,33 +1,55 @@
-//! [`ShapleySession`] — a prepared, updatable Shapley engine handle.
+//! [`ShapleySession`] — a prepared, updatable engine handle.
 //!
 //! The free functions of [`crate::shapley`] and [`crate::aggregates`]
-//! re-resolve atoms and recompile the counting structures on every
-//! call, even though [`CompiledCount`] / [`CompiledUnionCount`] are
-//! compile-once by design. A session is the prepared-statement view of
-//! the same machinery: [`ShapleySession::prepare`] classifies the
-//! query, resolves the strategy *once*, and builds the compiled engine
-//! (the hierarchical engine for CQ¬s, the inclusion–exclusion engine
-//! for UCQ¬s, the shared per-candidate engines for aggregates) exactly
-//! once; [`ShapleySession::value`], [`ShapleySession::values`],
-//! [`ShapleySession::report`], and [`ShapleySession::sampled`] then
-//! serve from the cached state, and [`ShapleySession::strategy`] /
-//! [`ShapleySession::complexity`] expose the routing decision.
+//! prepare and compile on every call. A session is the
+//! prepared-statement view of the same machinery:
+//! [`ShapleySession::prepare`] plans the query once, compiles the plan
+//! once, and then [`ShapleySession::value`], [`ShapleySession::values`],
+//! [`ShapleySession::report`], [`ShapleySession::probability`] and the
+//! degraded tiers serve from the cached state;
+//! [`ShapleySession::strategy`] / [`ShapleySession::complexity`] expose
+//! the routing decision.
+//!
+//! ## Plan → terms → domain
+//!
+//! Every tractable route of the paper ends in hierarchical CQ¬s, so a
+//! session's exact route is a *plan*: classification and strategy
+//! resolution turned into a signed sum of hierarchical terms
+//! `Σ coeff · q_i`, each evaluated against the session database or an
+//! `ExoShap`-rewritten copy of it.
+//!
+//! | route | terms |
+//! |---|---|
+//! | hierarchical CQ¬ (Theorem 3.1) | `+1 · q` |
+//! | `ExoShap` CQ¬ (Theorem 4.3) | `+1 · q'` on the rewritten database, or none when `q` is always false |
+//! | UCQ¬ in the compiled fragment (Section 5.2) | one term per canonical class of subset conjunctions, with its net coefficient |
+//! | `ExoShap` UCQ¬ | one rewritten term per subset conjunction |
+//! | brute-force strategies | none: values are enumerated per fact |
+//! | aggregates (Section 3 remarks) | each candidate answer's terms, weighted by the answer |
+//!
+//! The plan is computed once per prepare and instantiated per
+//! evaluation domain: at the counting domain for Shapley values, and —
+//! lazily, on the first [`ShapleySession::probability`] or
+//! [`ShapleySession::expected_shapley`] — at the probability domain,
+//! from the same terms (a rewritten database is shared, never copied).
+//! Sessions without terms (per-fact strategies, degraded sessions) plan
+//! their probabilistic reads under [`crate::Strategy::Auto`] and fall
+//! back to exact world enumeration.
 //!
 //! ## Incremental maintenance
 //!
 //! The session owns its database copy, so
 //! [`ShapleySession::insert_fact`], [`ShapleySession::retract_fact`],
 //! and [`ShapleySession::set_exogenous`] can mutate it in place (fact
-//! ids stay stable — see [`Database::retract_fact`]) and *maintain* the
-//! compiled engine across the update: only the touched root group's
-//! counting recursion re-runs, the cached leave-one-out environments
-//! are patched by exact factor swaps, and the weight correlations are
-//! refreshed in parallel (see [`CompiledCount::update`]). Structural
-//! drift — a root group appearing or dying, a query atom resolving
-//! differently, any non-hierarchical engine state — falls back to a
-//! full recompile. Either way the session's answers are bit-identical
-//! to a freshly prepared session on the same database
-//! (proptest-pinned in `tests/session_updates.rs`).
+//! ids stay stable — see [`Database::retract_fact`]) and *maintain* both
+//! instantiations term by term: only the touched root group's counting
+//! recursion re-runs, the cached leave-one-out environments are patched
+//! by exact factor swaps, and the weight correlations are refreshed in
+//! parallel (see [`CompiledCount::update`]). An update must be absorbed
+//! by every term; otherwise — structural drift, a rewritten term, a
+//! per-fact or aggregate route — the session re-plans. Either way its
+//! answers are bit-identical to a freshly prepared session on the same
+//! database (proptest-pinned in `tests/session_updates.rs`).
 //!
 //! ```
 //! use cqshap_core::session::ShapleySession;
@@ -57,7 +79,7 @@
 use std::collections::HashSet;
 
 use cqshap_db::{Database, DbError, FactId, Provenance};
-use cqshap_numeric::{BigInt, BigRational};
+use cqshap_numeric::BigRational;
 use cqshap_query::{classify_with_exo, ConjunctiveQuery, ExactComplexity, UnionQuery};
 
 use crate::aggregates::{aggregate_efficiency_target, AggregateEngines, AggregateFunction};
@@ -68,17 +90,12 @@ use crate::approx::{
 };
 use crate::budget::CancelToken;
 use crate::compiled::{CompiledCount, CompiledProbability, EngineUpdate};
-use crate::compiled_union::CompiledUnionCount;
+use crate::compiled_union::{check_endogenous, plan, SignedSum};
 use crate::domain::{probability_by_enumeration_cancel, FactProbabilities};
 use crate::error::CoreError;
-use crate::exoshap;
-use crate::satcount::BruteForceCounter;
 use crate::shapley::{
-    assemble_report, assemble_report_with_total, efficiency_target, engine_report_values,
-    engine_values, per_fact_values, resolve_strategy, resolve_union_route,
-    shapley_by_permutations_cancel, shapley_via_counts, union_brute_value, union_brute_values,
-    union_efficiency_target, zero_report, ResolvedStrategy, ShapleyOptions, ShapleyReport,
-    UnionRoute,
+    assemble_report, assemble_report_with_total, efficiency_target, enumerated_value, per_fact,
+    union_efficiency_target, ResolvedStrategy, ShapleyOptions, ShapleyReport, Strategy,
 };
 use crate::wsms::{wsms_report, WsmsReport, WsmsWeight};
 
@@ -93,74 +110,83 @@ enum QuerySpec {
     },
 }
 
-/// One signed, rewritten inclusion–exclusion term with its compiled
-/// engine (the `ExoShap` union path).
-struct ExoTerm {
-    negative: bool,
-    db: Database,
-    engine: CompiledCount,
+impl QuerySpec {
+    fn new(query: AnyQuery<'_>) -> Self {
+        match query {
+            AnyQuery::Cq(q) => QuerySpec::Cq(q.clone()),
+            AnyQuery::Union(u) => QuerySpec::Union(u.clone()),
+        }
+    }
+
+    /// The Boolean query, for CQ¬ and UCQ¬ specs.
+    fn boolean(&self) -> Option<AnyQuery<'_>> {
+        match self {
+            QuerySpec::Cq(q) => Some(AnyQuery::Cq(q)),
+            QuerySpec::Union(u) => Some(AnyQuery::Union(u)),
+            QuerySpec::Aggregate { .. } => None,
+        }
+    }
+
+    /// The dichotomy classification of a CQ¬ (or an aggregate's body)
+    /// under `db`'s exogenous relations; `None` for unions.
+    fn classify(&self, db: &Database) -> Option<ExactComplexity> {
+        match self {
+            QuerySpec::Cq(q) | QuerySpec::Aggregate { query: q, .. } => {
+                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
+                let exo: HashSet<String> = db.exogenous_relation_names().into_iter().collect();
+                Some(classify_with_exo(q, &exo))
+            }
+            QuerySpec::Union(_) => None,
+        }
+    }
 }
 
-/// The compiled state behind a session.
-enum EngineState {
-    /// Hierarchical CQ¬: the batched engine against the session db.
-    CqCompiled(CompiledCount),
-    /// `ExoShap` CQ¬: the engine against the rewritten database.
-    CqRewritten {
-        db: Box<Database>,
-        engine: CompiledCount,
-    },
-    /// The rewriting proved the query always false: every value is 0.
-    CqAlwaysFalse,
-    /// Brute-force strategies: per-fact evaluation, no compiled state.
-    CqPerFact,
-    /// UCQ¬ through the inclusion–exclusion engine.
-    UnionCompiled(CompiledUnionCount),
-    /// UCQ¬ through per-conjunction `ExoShap` terms.
-    UnionExoShap(Vec<ExoTerm>),
-    /// UCQ¬ brute-force subset enumeration.
-    UnionBrute,
-    /// UCQ¬ permutation enumeration.
-    UnionPermutations,
-    /// Aggregate: the shared per-candidate engines.
+/// The exact route of a session, instantiated at the counting domain.
+enum Exact {
+    /// The plan's signed terms, compiled.
+    Terms(SignedSum<CompiledCount>),
+    /// Brute-force strategies: per-fact enumeration, no compiled state.
+    PerFact(ResolvedStrategy),
+    /// Aggregate: the shared per-candidate term sums.
     Aggregate(AggregateEngines),
-    /// A failed post-update rebuild left no usable engine; reads
-    /// surface the stored reason until a successful update re-prepares.
-    Poisoned(String),
-    /// No exact engine was ever prepared — the query is out of the
-    /// exact tiers' reach (see
-    /// [`ShapleySession::prepare_with_fallback`]); only the degraded
-    /// tiers serve. Stores the prepare-time reason.
-    ExactUnavailable(String),
 }
 
-/// The lazily built probabilistic state behind a session — the same
-/// compiled structures as [`EngineState`], instantiated at the
-/// probability domain (see [`ShapleySession::probability`]).
-enum ProbState {
-    /// Nothing built yet, or invalidated by an update the engine could
-    /// not absorb / a probability change: the next probabilistic read
-    /// rebuilds through the routing ladder.
-    NotBuilt,
-    /// Hierarchical CQ¬: the compiled probability engine on the session
-    /// database, incrementally maintained across updates.
-    Cq(CompiledProbability),
-    /// `ExoShap` CQ¬: the engine against the rewritten database (the
-    /// rewriting preserves `q(Dx ∪ E)` for every `E ⊆ Dn`, hence the
-    /// whole distribution over worlds).
-    Rewritten {
-        db: Box<Database>,
-        engine: CompiledProbability,
-    },
-    /// The rewriting proved the query always false: `Pr[q] = 0`.
-    AlwaysFalse,
-    /// UCQ¬ through signed inclusion–exclusion probability engines, one
-    /// per satisfiable subset conjunction.
-    Union(Vec<(bool, CompiledProbability)>),
+/// Why a session has no exact route.
+enum NoExact {
+    /// A failed post-update rebuild left no usable engine; reads surface
+    /// the stored reason until a successful update or
+    /// [`ShapleySession::recover`] re-prepares.
+    Poisoned(String),
+    /// No exact engine was ever prepared — the query is out of the exact
+    /// tiers' reach (see [`ShapleySession::prepare_with_fallback`]); only
+    /// the degraded tiers serve. Stores the prepare-time reason.
+    Unavailable(String),
+}
+
+impl NoExact {
+    fn error(&self) -> CoreError {
+        CoreError::Unsupported(match self {
+            NoExact::Poisoned(reason) => format!(
+                "the session engine could not be rebuilt after an update ({reason}); call \
+                 recover() to rebuild from the retained database, or apply a further update that \
+                 restores a preparable state"
+            ),
+            NoExact::Unavailable(reason) => format!(
+                "no exact engine was prepared ({reason}); serve this session through \
+                 report_tiered(), anytime(), or wsms()"
+            ),
+        })
+    }
+}
+
+/// The probabilistic route of a session, built by the first
+/// probabilistic read (see [`ShapleySession::probability`]).
+enum Prob {
+    /// A plan's terms instantiated at the probability domain,
+    /// incrementally maintained across updates where every term can be.
+    Terms(SignedSum<CompiledProbability>),
     /// World enumeration within [`ShapleyOptions::brute_force_limit`].
     Brute,
-    /// No probabilistic route for this session (e.g. aggregates).
-    Unsupported(String),
 }
 
 /// Update counters of a session.
@@ -251,6 +277,13 @@ fn tier_demote_event(tier: &str, err: &CoreError) {
     }
 }
 
+/// The error of a Boolean-only read on an aggregate session.
+fn aggregate_unsupported(what: &str) -> CoreError {
+    CoreError::Unsupported(format!(
+        "{what} Boolean queries; aggregate sessions serve exact Shapley values"
+    ))
+}
+
 /// A prepared, updatable engine handle unifying CQ¬ / UCQ¬ / aggregate
 /// Shapley computation behind one API. See the [module docs](self).
 pub struct ShapleySession {
@@ -259,9 +292,12 @@ pub struct ShapleySession {
     spec: QuerySpec,
     resolved: Option<ResolvedStrategy>,
     complexity: Option<ExactComplexity>,
-    state: EngineState,
+    exact: Result<Exact, NoExact>,
     probs: FactProbabilities,
-    prob: ProbState,
+    /// `None` until a probabilistic read builds it, and again after a
+    /// change it cannot absorb (an update it declines, a probability
+    /// change, a rollback).
+    prob: Option<Prob>,
     stats: SessionStats,
     /// The session's one cancellation token (`Some` iff the options
     /// carry a limited budget), re-armed at every public entry point so
@@ -274,111 +310,35 @@ pub struct ShapleySession {
     anytime: Option<AnytimeState>,
 }
 
-fn exo_relation_names(db: &Database) -> HashSet<String> {
-    db.exogenous_relation_names().into_iter().collect()
-}
-
-/// Resolves the strategy and builds the compiled state for one spec.
-/// When `cancel` is present, every compiled engine is armed with a
-/// clone of the token (so its recounts poll the session budget) and the
-/// compile phases themselves are deadline-bounded.
-fn build_state(
+/// Plans `spec` and compiles the plan at the counting domain. When
+/// `cancel` is present, every compiled engine is armed with a clone of
+/// the token (so its recounts poll the session budget) and the compile
+/// phases themselves are deadline-bounded.
+fn build_exact(
     db: &Database,
     spec: &QuerySpec,
     options: &ShapleyOptions,
     cancel: Option<&CancelToken>,
-) -> Result<
-    (
-        Option<ResolvedStrategy>,
-        Option<ExactComplexity>,
-        EngineState,
-    ),
-    CoreError,
-> {
-    let compile_count = |db: &Database, q: &ConjunctiveQuery| match cancel {
-        Some(token) => CompiledCount::compile_with_cancel(db, q, options.threads, token.clone()),
-        None => CompiledCount::compile_with_threads(db, q, options.threads),
+) -> Result<(Option<ResolvedStrategy>, Exact), CoreError> {
+    let boolean = |query: AnyQuery<'_>| {
+        let (resolved, terms) = {
+            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
+            plan(db, query, options)?
+        };
+        let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
+        let exact = match terms {
+            Some(terms) => Exact::Terms(SignedSum::compile(terms, db, options.threads, cancel)?),
+            None => Exact::PerFact(resolved),
+        };
+        Ok((Some(resolved), exact))
     };
     match spec {
-        QuerySpec::Cq(q) => {
-            let complexity = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
-                classify_with_exo(q, &exo_relation_names(db))
-            };
-            let resolved = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
-                resolve_strategy(db, q, options)?
-            };
-            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-            let state = match resolved {
-                ResolvedStrategy::Hierarchical => EngineState::CqCompiled(compile_count(db, q)?),
-                ResolvedStrategy::ExoShap => {
-                    let outcome = exoshap::rewrite(db, q, options.tuple_budget)?;
-                    if outcome.always_false {
-                        EngineState::CqAlwaysFalse
-                    } else {
-                        let engine = compile_count(&outcome.db, &outcome.query)?;
-                        EngineState::CqRewritten {
-                            db: Box::new(outcome.db),
-                            engine,
-                        }
-                    }
-                }
-                ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-                    EngineState::CqPerFact
-                }
-            };
-            Ok((Some(resolved), Some(complexity), state))
-        }
-        QuerySpec::Union(u) => {
-            let route = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_RESOLVE_STRATEGY);
-                resolve_union_route(db, u, options, cancel)?
-            };
-            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
-            let (resolved, state) = match route {
-                UnionRoute::Compiled => (
-                    ResolvedStrategy::Hierarchical,
-                    EngineState::UnionCompiled(match cancel {
-                        Some(token) => CompiledUnionCount::compile_with_cancel(
-                            db,
-                            u,
-                            options.threads,
-                            token.clone(),
-                        )?,
-                        None => CompiledUnionCount::compile_with_threads(db, u, options.threads)?,
-                    }),
-                ),
-                UnionRoute::ExoShap(terms) => {
-                    let compiled = terms
-                        .into_iter()
-                        .map(|(negative, outcome, engine)| ExoTerm {
-                            negative,
-                            db: outcome.db,
-                            engine,
-                        })
-                        .collect();
-                    (
-                        ResolvedStrategy::ExoShap,
-                        EngineState::UnionExoShap(compiled),
-                    )
-                }
-                UnionRoute::BruteForce => (ResolvedStrategy::BruteForce, EngineState::UnionBrute),
-                UnionRoute::Permutations => (
-                    ResolvedStrategy::Permutations,
-                    EngineState::UnionPermutations,
-                ),
-            };
-            Ok((Some(resolved), None, state))
-        }
+        QuerySpec::Cq(q) => boolean(AnyQuery::Cq(q)),
+        QuerySpec::Union(u) => boolean(AnyQuery::Union(u)),
         QuerySpec::Aggregate { query, agg } => {
-            let complexity = {
-                let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_CLASSIFY);
-                classify_with_exo(query, &exo_relation_names(db))
-            };
             let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE_COMPILE);
             let engines = AggregateEngines::prepare(db, query, agg, options, cancel)?;
-            Ok((None, Some(complexity), EngineState::Aggregate(engines)))
+            Ok((None, Exact::Aggregate(engines)))
         }
     }
 }
@@ -396,11 +356,7 @@ impl ShapleySession {
         query: AnyQuery<'_>,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        let spec = match query {
-            AnyQuery::Cq(q) => QuerySpec::Cq(q.clone()),
-            AnyQuery::Union(u) => QuerySpec::Union(u.clone()),
-        };
-        Self::from_spec(db.clone(), spec, *options)
+        Self::from_spec(db.clone(), QuerySpec::new(query), *options)
     }
 
     /// [`ShapleySession::prepare`], except a *degradable* failure — a
@@ -422,30 +378,16 @@ impl ShapleySession {
         query: AnyQuery<'_>,
         options: &ShapleyOptions,
     ) -> Result<Self, CoreError> {
-        let spec = match query {
-            AnyQuery::Cq(q) => QuerySpec::Cq(q.clone()),
-            AnyQuery::Union(u) => QuerySpec::Union(u.clone()),
+        let mut session = Self::unprepared(db.clone(), QuerySpec::new(query), *options);
+        let prepared = {
+            let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE);
+            session.rebuild()
         };
-        match Self::from_spec(db.clone(), spec.clone(), *options) {
-            Ok(session) => Ok(session),
+        match prepared {
+            Ok(()) => Ok(session),
             Err(e) if tier_degradable(&e) => {
-                let complexity = match &spec {
-                    QuerySpec::Cq(q) => Some(classify_with_exo(q, &exo_relation_names(db))),
-                    _ => None,
-                };
-                Ok(ShapleySession {
-                    db: db.clone(),
-                    options: *options,
-                    spec,
-                    resolved: None,
-                    complexity,
-                    state: EngineState::ExactUnavailable(e.to_string()),
-                    probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
-                    prob: ProbState::NotBuilt,
-                    stats: SessionStats::default(),
-                    cancel: options.cancel_token(),
-                    anytime: None,
-                })
+                session.exact = Err(NoExact::Unavailable(e.to_string()));
+                Ok(session)
             }
             Err(e) => Err(e),
         }
@@ -479,21 +421,38 @@ impl ShapleySession {
         options: ShapleyOptions,
     ) -> Result<Self, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::PREPARE);
-        let cancel = options.cancel_token();
-        let (resolved, complexity, state) = build_state(&db, &spec, &options, cancel.as_ref())?;
-        Ok(ShapleySession {
+        let mut session = Self::unprepared(db, spec, options);
+        session.rebuild()?;
+        Ok(session)
+    }
+
+    /// A session whose exact route is not built yet.
+    fn unprepared(db: Database, spec: QuerySpec, options: ShapleyOptions) -> Self {
+        ShapleySession {
             db,
             options,
             spec,
-            resolved,
-            complexity,
-            state,
+            resolved: None,
+            complexity: None,
+            exact: Err(NoExact::Unavailable("not prepared".into())),
             probs: FactProbabilities::uniform(BigRational::from_i64_ratio(1, 2)),
-            prob: ProbState::NotBuilt,
+            prob: None,
             stats: SessionStats::default(),
-            cancel,
+            cancel: options.cancel_token(),
             anytime: None,
-        })
+        }
+    }
+
+    /// Classifies, plans and compiles the exact route from the session's
+    /// database. On failure the previous route stays in place for the
+    /// caller to replace.
+    fn rebuild(&mut self) -> Result<(), CoreError> {
+        self.complexity = self.spec.classify(&self.db);
+        let (resolved, exact) =
+            build_exact(&self.db, &self.spec, &self.options, self.cancel.as_ref())?;
+        self.resolved = resolved;
+        self.exact = Ok(exact);
+        Ok(())
     }
 
     /// Restarts the session budget for one public call: every deadline
@@ -501,16 +460,6 @@ impl ShapleySession {
     fn rearm(&self) {
         if let Some(token) = &self.cancel {
             token.rearm(self.options.budget.wall, self.options.budget.work);
-        }
-    }
-
-    /// The brute-force oracle wired to the session's token (the free
-    /// functions arm a fresh per-call token instead).
-    fn brute_oracle(&self) -> BruteForceCounter {
-        let counter = BruteForceCounter::with_limit(self.options.brute_force_limit);
-        match &self.cancel {
-            Some(token) => counter.with_cancel(token.clone()),
-            None => counter,
         }
     }
 
@@ -546,47 +495,30 @@ impl ShapleySession {
         self.stats
     }
 
-    fn check_endogenous(&self, f: FactId) -> Result<(), CoreError> {
-        if self.db.endo_index(f).is_none() {
-            return Err(CoreError::FactNotEndogenous {
-                fact: self.db.render_fact(f),
-            });
-        }
-        Ok(())
+    /// The session's Boolean query, or [`CoreError::Unsupported`]
+    /// completing `what` for aggregate sessions.
+    fn boolean_query(&self, what: &str) -> Result<AnyQuery<'_>, CoreError> {
+        self.spec
+            .boolean()
+            .ok_or_else(|| aggregate_unsupported(what))
     }
 
-    fn check_not_poisoned(&self) -> Result<(), CoreError> {
-        if let EngineState::Poisoned(reason) = &self.state {
-            return Err(CoreError::Unsupported(format!(
-                "the session engine could not be rebuilt after an update ({reason}); call \
-                 recover() to rebuild from the retained database, or apply a further update that \
-                 restores a preparable state"
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_exact_available(&self) -> Result<(), CoreError> {
-        if let EngineState::ExactUnavailable(reason) = &self.state {
-            return Err(CoreError::Unsupported(format!(
-                "no exact engine was prepared ({reason}); serve this session through \
-                 report_tiered(), anytime(), or wsms()"
-            )));
-        }
-        Ok(())
+    /// The exact route, or the typed reason there is none.
+    fn exact(&self) -> Result<&Exact, CoreError> {
+        self.exact.as_ref().map_err(NoExact::error)
     }
 
     /// Is the session poisoned (no usable engine after a failed
     /// rebuild)? [`ShapleySession::recover`] clears the condition.
     pub fn is_poisoned(&self) -> bool {
-        matches!(self.state, EngineState::Poisoned(_))
+        matches!(self.exact, Err(NoExact::Poisoned(_)))
     }
 
     /// Does the session lack an exact engine (prepared via
     /// [`ShapleySession::prepare_with_fallback`] on an intractable or
     /// over-budget query)? Degraded tiers still serve.
     pub fn is_exact_unavailable(&self) -> bool {
-        matches!(self.state, EngineState::ExactUnavailable(_))
+        matches!(self.exact, Err(NoExact::Unavailable(_)))
     }
 
     /// Rebuilds the engine from the session's retained database,
@@ -603,19 +535,10 @@ impl ShapleySession {
             return Ok(());
         }
         self.rearm();
-        match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
-            Ok((resolved, complexity, state)) => {
-                self.resolved = resolved;
-                self.complexity = complexity;
-                self.state = state;
-                self.prob = ProbState::NotBuilt;
-                Ok(())
-            }
-            Err(e) => {
-                self.state = EngineState::Poisoned(e.to_string());
-                Err(e)
-            }
-        }
+        self.prob = None;
+        self.rebuild().inspect_err(|e| {
+            self.exact = Err(NoExact::Poisoned(e.to_string()));
+        })
     }
 
     /// Test hook: forces the session into the poisoned state so
@@ -624,7 +547,7 @@ impl ShapleySession {
     #[doc(hidden)]
     pub fn poison_for_tests(&mut self, reason: &str) {
         self.resolved = None;
-        self.state = EngineState::Poisoned(reason.to_string());
+        self.exact = Err(NoExact::Poisoned(reason.to_string()));
     }
 
     /// The exact Shapley value of `f`, served from the prepared engine.
@@ -633,60 +556,30 @@ impl ShapleySession {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`, plus anything the
     /// per-fact fallback strategies raise.
     pub fn value(&self, f: FactId) -> Result<BigRational, CoreError> {
-        self.check_not_poisoned()?;
-        self.check_exact_available()?;
+        let exact = self.exact()?;
         self.rearm();
-        match (&self.spec, &self.state) {
-            (_, EngineState::CqCompiled(engine)) => engine.value(&self.db, f),
-            (_, EngineState::CqRewritten { db, engine }) => {
-                self.check_endogenous(f)?;
-                engine.value(db, f)
-            }
-            (_, EngineState::CqAlwaysFalse) => {
-                self.check_endogenous(f)?;
-                Ok(BigRational::zero())
-            }
-            (QuerySpec::Cq(q), EngineState::CqPerFact) => match self.resolved {
-                Some(ResolvedStrategy::Permutations) => shapley_by_permutations_cancel(
-                    &self.db,
-                    AnyQuery::Cq(q),
-                    f,
-                    self.options.permutation_limit,
-                    self.cancel.as_ref(),
-                ),
-                _ => shapley_via_counts(&self.db, AnyQuery::Cq(q), f, &self.brute_oracle()),
-            },
-            (_, EngineState::UnionCompiled(engine)) => engine.value(&self.db, f),
-            (_, EngineState::UnionExoShap(terms)) => {
-                self.check_endogenous(f)?;
-                Ok(exo_union_normalize(
-                    terms,
-                    exo_union_numerator(terms, f, self.cancel.as_ref())?,
-                ))
-            }
-            (QuerySpec::Union(u), EngineState::UnionBrute) => {
-                union_brute_value(&self.db, u, f, &self.options)
-            }
-            (QuerySpec::Union(u), EngineState::UnionPermutations) => {
-                shapley_by_permutations_cancel(
-                    &self.db,
-                    AnyQuery::Union(u),
-                    f,
-                    self.options.permutation_limit,
-                    self.cancel.as_ref(),
-                )
-            }
-            (_, EngineState::Aggregate(engines)) => {
-                self.check_endogenous(f)?;
-                Ok(engines
-                    .values(&self.db, &[f], &self.options, self.cancel.as_ref())?
-                    .pop()
-                    // cqshap-lint: allow(no-panic) -- the spec requested exactly one fact, so exactly one row exists
-                    .expect("one fact requested"))
-            }
-            // cqshap-lint: allow(no-panic) -- spec and state are built together; mismatched variants cannot arise
-            _ => unreachable!("spec and state are built together"),
+        match exact {
+            Exact::Terms(sum) => sum.value(&self.db, f),
+            Exact::PerFact(resolved) => self.enumerated(*resolved, f),
+            Exact::Aggregate(engines) => Ok(engines
+                .values(&self.db, &[f], &self.options, self.cancel.as_ref())?
+                .pop()
+                .unwrap_or_else(BigRational::zero)),
         }
+    }
+
+    /// One fact's value under a per-fact enumeration strategy, polling
+    /// the session token.
+    fn enumerated(&self, resolved: ResolvedStrategy, f: FactId) -> Result<BigRational, CoreError> {
+        let query = self.boolean_query("per-fact enumeration evaluates")?;
+        enumerated_value(
+            &self.db,
+            query,
+            f,
+            resolved,
+            &self.options,
+            self.cancel.as_ref(),
+        )
     }
 
     /// The exact Shapley values of a fact slice, batched through the
@@ -696,71 +589,22 @@ impl ShapleySession {
     /// # Errors
     /// As [`ShapleySession::value`], for any fact of the slice.
     pub fn values(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
-        self.check_not_poisoned()?;
-        self.check_exact_available()?;
+        let exact = self.exact()?;
         self.rearm();
-        self.values_armed(facts)
+        self.values_armed(exact, facts)
     }
 
     /// [`ShapleySession::values`] without re-arming the budget, for
     /// internal callers that already armed it for a larger phase.
-    fn values_armed(&self, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
-        match (&self.spec, &self.state) {
-            (_, EngineState::CqCompiled(engine)) => {
-                engine_values(&self.db, engine, facts, self.options.threads)
-            }
-            (_, EngineState::CqRewritten { db, engine }) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
-                engine_values(db, engine, facts, self.options.threads)
-            }
-            (_, EngineState::CqAlwaysFalse) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
-                Ok(vec![BigRational::zero(); facts.len()])
-            }
-            (QuerySpec::Cq(q), EngineState::CqPerFact) => {
-                // cqshap-lint: allow(no-panic) -- per-fact state records its resolution when built
-                let resolved = self.resolved.expect("per-fact state has a resolution");
-                per_fact_values(&self.db, q, facts, resolved, &self.options, false)
-            }
-            (_, EngineState::UnionCompiled(engine)) => {
-                engine_values(&self.db, engine, facts, self.options.threads)
-            }
-            (_, EngineState::UnionExoShap(terms)) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
-                Ok(exo_union_values(terms, facts, self.cancel.as_ref())?.0)
-            }
-            (QuerySpec::Union(u), EngineState::UnionBrute) => {
-                union_brute_values(&self.db, u, facts, &self.options)
-            }
-            (QuerySpec::Union(u), EngineState::UnionPermutations) => {
-                let cancel = &self.cancel;
-                crate::parallel::par_map_with(self.options.threads, facts.len(), |i| {
-                    shapley_by_permutations_cancel(
-                        &self.db,
-                        AnyQuery::Union(u),
-                        // cqshap-lint: allow(no-panic-index) -- i ranges over facts.len() in the enclosing loop
-                        facts[i],
-                        self.options.permutation_limit,
-                        cancel.as_ref(),
-                    )
-                })
-                .into_iter()
-                .collect()
-            }
-            (_, EngineState::Aggregate(engines)) => {
-                for &f in facts {
-                    self.check_endogenous(f)?;
-                }
+    fn values_armed(&self, exact: &Exact, facts: &[FactId]) -> Result<Vec<BigRational>, CoreError> {
+        match exact {
+            Exact::Terms(sum) => Ok(sum.values(&self.db, facts, self.options.threads)?.0),
+            Exact::PerFact(resolved) => per_fact(self.options.threads, facts, |f| {
+                self.enumerated(*resolved, f)
+            }),
+            Exact::Aggregate(engines) => {
                 engines.values(&self.db, facts, &self.options, self.cancel.as_ref())
             }
-            // cqshap-lint: allow(no-panic) -- spec and state are built together; mismatched variants cannot arise
-            _ => unreachable!("spec and state are built together"),
         }
     }
 
@@ -772,51 +616,31 @@ impl ShapleySession {
     /// As [`ShapleySession::values`].
     pub fn report(&self) -> Result<ShapleyReport, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT);
-        self.check_not_poisoned()?;
-        self.check_exact_available()?;
+        let exact = self.exact()?;
         self.rearm();
-        if matches!(self.state, EngineState::CqAlwaysFalse) {
-            return Ok(zero_report(&self.db));
-        }
-        let facts: Vec<FactId> = self.db.endo_facts().to_vec();
-        let expected = match (&self.spec, &self.state) {
-            (QuerySpec::Cq(_), EngineState::CqRewritten { db, engine }) => {
-                efficiency_target(db, engine.query())
-            }
-            (QuerySpec::Cq(q), _) => efficiency_target(&self.db, q),
-            (QuerySpec::Union(u), _) => union_efficiency_target(&self.db, u),
-            (QuerySpec::Aggregate { query, agg }, _) => {
+        let facts = self.db.endo_facts();
+        let expected = match &self.spec {
+            QuerySpec::Cq(q) => efficiency_target(&self.db, q),
+            QuerySpec::Union(u) => union_efficiency_target(&self.db, u),
+            QuerySpec::Aggregate { query, agg } => {
                 aggregate_efficiency_target(&self.db, query, agg)?
             }
         };
-        // Engine paths accumulate the value total over the common
-        // denominator `m!` (one normalization) — summing the reduced
-        // per-fact rationals instead costs a gcd per entry.
-        let report = match &self.state {
-            EngineState::CqCompiled(engine) => {
-                let (values, total) =
-                    engine_report_values(&self.db, engine, &facts, self.options.threads)?;
-                assemble_report_with_total(&self.db, values, total, expected)
+        Ok(match exact {
+            // The value total accumulates over the common denominator
+            // `m!` (one normalization) — summing the reduced per-fact
+            // rationals instead costs a gcd per entry.
+            Exact::Terms(sum) => {
+                let (values, total) = sum.values(&self.db, facts, self.options.threads)?;
+                assemble_report_with_total(&self.db, values, sum.normalize(total), expected)
             }
-            EngineState::CqRewritten { db, engine } => {
-                let (values, total) =
-                    engine_report_values(db, engine, &facts, self.options.threads)?;
-                assemble_report_with_total(&self.db, values, total, expected)
+            Exact::PerFact(_) => {
+                assemble_report(&self.db, self.values_armed(exact, facts)?, expected)
             }
-            EngineState::UnionCompiled(engine) => {
-                let (values, total) =
-                    engine_report_values(&self.db, engine, &facts, self.options.threads)?;
-                assemble_report_with_total(&self.db, values, total, expected)
+            Exact::Aggregate(engines) => {
+                assemble_report(&self.db, self.values_armed(exact, facts)?, expected)
+                    .with_stats(engines.stats)
             }
-            EngineState::UnionExoShap(terms) => {
-                let (values, total) = exo_union_values(terms, &facts, self.cancel.as_ref())?;
-                assemble_report_with_total(&self.db, values, total, expected)
-            }
-            _ => assemble_report(&self.db, self.values_armed(&facts)?, expected),
-        };
-        Ok(match &self.state {
-            EngineState::Aggregate(engines) => report.with_stats(engines.stats),
-            _ => report,
         })
     }
 
@@ -841,15 +665,8 @@ impl ShapleySession {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`;
     /// [`CoreError::Unsupported`] for aggregate sessions.
     pub fn sampled(&self, f: FactId, params: &SampleParams) -> Result<ApproxShapley, CoreError> {
-        match &self.spec {
-            QuerySpec::Cq(q) => shapley_additive_approx(&self.db, AnyQuery::Cq(q), f, params),
-            QuerySpec::Union(u) => shapley_additive_approx(&self.db, AnyQuery::Union(u), f, params),
-            QuerySpec::Aggregate { .. } => Err(CoreError::Unsupported(
-                "permutation sampling estimates Boolean queries; aggregate sessions serve exact \
-                 values"
-                    .into(),
-            )),
-        }
+        let query = self.boolean_query("permutation sampling estimates")?;
+        shapley_additive_approx(&self.db, query, f, params)
     }
 
     /// The anytime estimator: stratified permutation sampling with CLT
@@ -868,20 +685,11 @@ impl ShapleySession {
     /// [`CoreError::Unsupported`] for aggregate sessions or invalid
     /// `ε` / `δ`.
     pub fn anytime(&mut self, params: &AnytimeParams) -> Result<AnytimeReport, CoreError> {
-        if matches!(self.spec, QuerySpec::Aggregate { .. }) {
-            return Err(CoreError::Unsupported(
-                "the anytime sampler estimates Boolean queries; aggregate sessions serve exact \
-                 values"
-                    .into(),
-            ));
-        }
+        let query = self
+            .spec
+            .boolean()
+            .ok_or_else(|| aggregate_unsupported("the anytime sampler estimates"))?;
         self.rearm();
-        let query = match &self.spec {
-            QuerySpec::Cq(q) => AnyQuery::Cq(q),
-            QuerySpec::Union(u) => AnyQuery::Union(u),
-            // cqshap-lint: allow(no-panic) -- aggregate specs were rejected by the guard above
-            QuerySpec::Aggregate { .. } => unreachable!("rejected above"),
-        };
         shapley_anytime(
             &self.db,
             query,
@@ -903,17 +711,8 @@ impl ShapleySession {
     /// trips the budget.
     pub fn wsms(&self, weight: WsmsWeight) -> Result<WsmsReport, CoreError> {
         self.rearm();
-        match &self.spec {
-            QuerySpec::Cq(q) => {
-                wsms_report(&self.db, AnyQuery::Cq(q), weight, self.cancel.as_ref())
-            }
-            QuerySpec::Union(u) => {
-                wsms_report(&self.db, AnyQuery::Union(u), weight, self.cancel.as_ref())
-            }
-            QuerySpec::Aggregate { .. } => Err(CoreError::Unsupported(
-                "WSMS scores Boolean queries; aggregate sessions serve exact values".into(),
-            )),
-        }
+        let query = self.boolean_query("WSMS scores")?;
+        wsms_report(&self.db, query, weight, self.cancel.as_ref())
     }
 
     /// The degradation ladder: the exact report if it finishes within
@@ -929,7 +728,7 @@ impl ShapleySession {
     /// plus anything the allowed tiers raise themselves.
     pub fn report_tiered(&mut self, policy: &TierPolicy) -> Result<TieredAnswer, CoreError> {
         let _span = cqshap_obs::Span::enter(cqshap_obs::phase::REPORT_TIERED);
-        let exact_unavailable = matches!(self.state, EngineState::ExactUnavailable(_));
+        let exact_unavailable = self.is_exact_unavailable();
         let exact_err = match self.report() {
             Ok(report) => {
                 cqshap_obs::event(cqshap_obs::phase::EV_TIER_ANSWER, "exact");
@@ -990,10 +789,10 @@ impl ShapleySession {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`;
     /// [`CoreError::Unsupported`] outside `[0, 1]`.
     pub fn set_probability(&mut self, f: FactId, p: BigRational) -> Result<(), CoreError> {
-        self.check_endogenous(f)?;
+        check_endogenous(&self.db, f)?;
         check_probability(&p)?;
         self.probs.set(f, p);
-        self.prob = ProbState::NotBuilt;
+        self.prob = None;
         Ok(())
     }
 
@@ -1005,7 +804,7 @@ impl ShapleySession {
     pub fn set_default_probability(&mut self, p: BigRational) -> Result<(), CoreError> {
         check_probability(&p)?;
         self.probs.set_default(p);
-        self.prob = ProbState::NotBuilt;
+        self.prob = None;
         Ok(())
     }
 
@@ -1013,48 +812,24 @@ impl ShapleySession {
     /// the session's probabilities (a tuple-independent probabilistic
     /// database over `Dn`, with `Dx` certain).
     ///
-    /// Served from the same compiled resolution/scope/component
-    /// structures as the Shapley paths, instantiated at the probability
-    /// domain and cached across calls; updates applied through the
-    /// session maintain the cache incrementally where the engine
-    /// supports it. Queries outside the compiled fragment route through
-    /// the `ExoShap` rewriting and, failing that, exact world
-    /// enumeration within [`ShapleyOptions::brute_force_limit`].
+    /// Served from the session plan's terms instantiated at the
+    /// probability domain (the same resolution/scope/component
+    /// structures as the Shapley paths, rewritten databases included)
+    /// and cached across calls; updates applied through the session
+    /// maintain the cache incrementally where every term supports it.
+    /// Sessions without terms plan under [`Strategy::Auto`] and, failing
+    /// that, enumerate worlds within
+    /// [`ShapleyOptions::brute_force_limit`].
     ///
     /// # Errors
     /// [`CoreError::Unsupported`] for aggregate sessions;
     /// [`CoreError::TooManyEndogenousFacts`] when only enumeration
     /// applies and `|Dn|` exceeds the limit.
     pub fn probability(&mut self) -> Result<BigRational, CoreError> {
-        self.rearm();
-        self.ensure_prob_state()?;
-        match &self.prob {
-            ProbState::Cq(engine) => Ok(engine.probability().clone()),
-            ProbState::Rewritten { engine, .. } => Ok(engine.probability().clone()),
-            ProbState::AlwaysFalse => Ok(BigRational::zero()),
-            ProbState::Union(terms) => {
-                let mut acc = BigRational::zero();
-                for (negative, engine) in terms {
-                    if *negative {
-                        acc -= engine.probability();
-                    } else {
-                        acc += engine.probability();
-                    }
-                }
-                Ok(acc)
-            }
-            ProbState::Brute => probability_by_enumeration_cancel(
-                &self.db,
-                self.spec_query(),
-                &self.probs,
-                None,
-                self.options.brute_force_limit,
-                self.cancel.as_ref(),
-            ),
-            ProbState::Unsupported(reason) => Err(CoreError::Unsupported(reason.clone())),
-            // cqshap-lint: allow(no-panic) -- the ensure call above installed the built state
-            ProbState::NotBuilt => unreachable!("ensured above"),
-        }
+        self.with_prob(|session, prob| match prob {
+            Prob::Terms(sum) => sum.probability(&session.db),
+            Prob::Brute => session.enumerate_probability(None),
+        })
     }
 
     /// The expected marginal contribution of `f` under the session's
@@ -1067,79 +842,61 @@ impl ShapleySession {
     /// [`CoreError::FactNotEndogenous`] if `f ∉ Dn`, plus everything
     /// [`ShapleySession::probability`] raises.
     pub fn expected_shapley(&mut self, f: FactId) -> Result<BigRational, CoreError> {
-        self.check_endogenous(f)?;
+        check_endogenous(&self.db, f)?;
+        self.with_prob(|session, prob| match prob {
+            Prob::Terms(sum) => sum.expected_marginal(&session.db, f),
+            Prob::Brute => Ok(session.enumerate_probability(Some((f, true)))?
+                - session.enumerate_probability(Some((f, false)))?),
+        })
+    }
+
+    /// Runs one probabilistic read against the cached probabilistic
+    /// route, building it first if none is cached.
+    fn with_prob<T>(
+        &mut self,
+        read: impl FnOnce(&Self, &Prob) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
         self.rearm();
-        self.ensure_prob_state()?;
-        match &self.prob {
-            ProbState::Cq(engine) => engine.expected_marginal(&self.db, f),
-            ProbState::Rewritten { db, engine } => engine.expected_marginal(db, f),
-            ProbState::AlwaysFalse => Ok(BigRational::zero()),
-            ProbState::Union(terms) => {
-                // Conditionals obey the same inclusion–exclusion as the
-                // totals, and the difference is linear in them.
-                let mut acc = BigRational::zero();
-                for (negative, engine) in terms {
-                    let marginal = engine.expected_marginal(&self.db, f)?;
-                    if *negative {
-                        acc -= &marginal;
-                    } else {
-                        acc += &marginal;
-                    }
-                }
-                Ok(acc)
-            }
-            ProbState::Brute => {
-                let present = probability_by_enumeration_cancel(
-                    &self.db,
-                    self.spec_query(),
-                    &self.probs,
-                    Some((f, true)),
-                    self.options.brute_force_limit,
-                    self.cancel.as_ref(),
-                )?;
-                let absent = probability_by_enumeration_cancel(
-                    &self.db,
-                    self.spec_query(),
-                    &self.probs,
-                    Some((f, false)),
-                    self.options.brute_force_limit,
-                    self.cancel.as_ref(),
-                )?;
-                Ok(present - absent)
-            }
-            ProbState::Unsupported(reason) => Err(CoreError::Unsupported(reason.clone())),
-            // cqshap-lint: allow(no-panic) -- the ensure call above installed the built state
-            ProbState::NotBuilt => unreachable!("ensured above"),
-        }
+        let prob = match self.prob.take() {
+            Some(prob) => prob,
+            None => self.build_prob()?,
+        };
+        let out = read(self, &prob);
+        self.prob = Some(prob);
+        out
     }
 
-    /// The session's query as an [`AnyQuery`] (Boolean specs only).
-    fn spec_query(&self) -> AnyQuery<'_> {
-        match &self.spec {
-            QuerySpec::Cq(q) => AnyQuery::Cq(q),
-            QuerySpec::Union(u) => AnyQuery::Union(u),
-            QuerySpec::Aggregate { .. } => {
-                // cqshap-lint: allow(no-panic) -- aggregate specs route to ProbState::Unsupported at build time
-                unreachable!("aggregate specs route to ProbState::Unsupported")
-            }
-        }
+    /// `Pr[q]` (optionally with one fact forced present or absent) by
+    /// world enumeration within the brute-force limit.
+    fn enumerate_probability(
+        &self,
+        forced: Option<(FactId, bool)>,
+    ) -> Result<BigRational, CoreError> {
+        probability_by_enumeration_cancel(
+            &self.db,
+            self.boolean_query("probabilistic evaluation covers")?,
+            &self.probs,
+            forced,
+            self.options.brute_force_limit,
+            self.cancel.as_ref(),
+        )
     }
 
-    /// Builds the probability state if no usable one is cached.
-    fn ensure_prob_state(&mut self) -> Result<(), CoreError> {
-        if matches!(self.prob, ProbState::NotBuilt) {
-            self.prob = self.build_prob_state()?;
-        }
-        Ok(())
-    }
-
-    /// The probabilistic routing ladder: the compiled engine on the
-    /// session database, the `ExoShap` rewriting, then exact world
-    /// enumeration. Structural ineligibility falls through; genuine
-    /// evaluation errors propagate.
-    fn build_prob_state(&self) -> Result<ProbState, CoreError> {
-        let threads = self.options.threads;
-        let compile_prob = |db: &Database, q: &ConjunctiveQuery| match &self.cancel {
+    /// Instantiates the probabilistic route: the session plan's terms
+    /// when it has them, else a plan under [`Strategy::Auto`], else
+    /// world enumeration. Structural ineligibility falls through;
+    /// genuine evaluation errors propagate.
+    fn build_prob(&self) -> Result<Prob, CoreError> {
+        let query = self.boolean_query("probabilistic evaluation covers")?;
+        let terms = match &self.exact {
+            Ok(Exact::Terms(sum)) => sum.plan(),
+            _ => match plan(&self.db, query, &self.options.strategy(Strategy::Auto)) {
+                Ok((_, Some(terms))) => terms,
+                _ => return Ok(Prob::Brute),
+            },
+        };
+        let (threads, cancel) = (self.options.threads, self.cancel.as_ref());
+        let compiled = SignedSum::instantiate(terms, &self.db, cancel, |db, q| match cancel {
             Some(token) => CompiledProbability::compile_with_cancel(
                 db,
                 q,
@@ -1148,51 +905,13 @@ impl ShapleySession {
                 token.clone(),
             ),
             None => CompiledProbability::compile_with_threads(db, q, self.probs.clone(), threads),
-        };
-        match &self.spec {
-            QuerySpec::Cq(q) => {
-                match compile_prob(&self.db, q) {
-                    Ok(engine) => return Ok(ProbState::Cq(engine)),
-                    Err(CoreError::NotHierarchical { .. })
-                    | Err(CoreError::NotSelfJoinFree { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                if let Ok(outcome) = exoshap::rewrite(&self.db, q, self.options.tuple_budget) {
-                    if outcome.always_false {
-                        return Ok(ProbState::AlwaysFalse);
-                    }
-                    if let Ok(engine) = compile_prob(&outcome.db, &outcome.query) {
-                        return Ok(ProbState::Rewritten {
-                            db: Box::new(outcome.db),
-                            engine,
-                        });
-                    }
-                }
-                Ok(ProbState::Brute)
+        });
+        match compiled {
+            Ok(sum) => Ok(Prob::Terms(sum)),
+            Err(CoreError::NotHierarchical { .. } | CoreError::NotSelfJoinFree { .. }) => {
+                Ok(Prob::Brute)
             }
-            QuerySpec::Union(u) => {
-                let Ok(conjunctions) = CompiledUnionCount::subset_conjunctions(u) else {
-                    return Ok(ProbState::Brute);
-                };
-                let mut terms = Vec::with_capacity(conjunctions.len());
-                for (negative, label, q) in conjunctions {
-                    if CompiledUnionCount::check_tractable(&label, &q).is_err() {
-                        return Ok(ProbState::Brute);
-                    }
-                    match compile_prob(&self.db, &q) {
-                        Ok(engine) => terms.push((negative, engine)),
-                        Err(CoreError::NotHierarchical { .. })
-                        | Err(CoreError::NotSelfJoinFree { .. }) => return Ok(ProbState::Brute),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(ProbState::Union(terms))
-            }
-            QuerySpec::Aggregate { .. } => Ok(ProbState::Unsupported(
-                "probabilistic evaluation covers Boolean queries; aggregate sessions serve \
-                 exact Shapley values only"
-                    .into(),
-            )),
+            Err(e) => Err(e),
         }
     }
 
@@ -1260,69 +979,48 @@ impl ShapleySession {
         self.after_update(EngineUpdate::ProvenanceFlipped(f), snapshot)
     }
 
-    /// Routes one applied database change into the engine: incremental
-    /// maintenance where the compiled state supports it, a full
+    /// Routes one applied database change into both instantiations:
+    /// incremental maintenance where every term absorbs it, a full
     /// re-prepare otherwise. `snapshot` is the pre-update database; any
     /// failure restores it and rebuilds, so the session's database and
     /// engine never diverge.
     fn after_update(&mut self, change: EngineUpdate, snapshot: Database) -> Result<(), CoreError> {
-        // Maintain the cached probability engine first; states it cannot
-        // absorb degrade to lazily rebuilt (never to stale answers).
-        self.prob = match std::mem::replace(&mut self.prob, ProbState::NotBuilt) {
-            ProbState::Cq(mut engine) => match engine.update(&self.db, change) {
-                Ok(true) => ProbState::Cq(engine),
-                _ => ProbState::NotBuilt,
-            },
-            ProbState::Union(terms) => {
-                let mut kept = Vec::with_capacity(terms.len());
-                let mut all_maintained = true;
-                for (negative, mut engine) in terms {
-                    match engine.update(&self.db, change) {
-                        Ok(true) => kept.push((negative, engine)),
-                        _ => {
-                            all_maintained = false;
-                            break;
-                        }
-                    }
-                }
-                if all_maintained {
-                    ProbState::Union(kept)
-                } else {
-                    ProbState::NotBuilt
-                }
+        // Maintain the cached probability route first; what it cannot
+        // absorb is rebuilt lazily (never served stale).
+        let prob_kept = match &mut self.prob {
+            Some(Prob::Terms(sum)) => {
+                matches!(
+                    sum.update(&self.db, change, CompiledProbability::update),
+                    Ok(true)
+                )
             }
-            // Rewritten, always-false, and brute states depend on the
-            // database globally: rebuild on demand.
-            _ => ProbState::NotBuilt,
+            _ => false,
         };
-        let maintained = match &mut self.state {
-            EngineState::CqCompiled(engine) => engine.update(&self.db, change),
-            EngineState::UnionCompiled(engine) => engine.update(&self.db, change),
-            // Rewritten, brute-force, and aggregate states depend on the
-            // database globally (complement materialization, candidate
-            // enumeration, strategy limits): re-prepare.
+        if !prob_kept {
+            self.prob = None;
+        }
+        let maintained = match &mut self.exact {
+            Ok(Exact::Terms(sum)) => sum.update(&self.db, change, CompiledCount::update),
+            // Per-fact and aggregate routes depend on the database
+            // globally (strategy limits, candidate enumeration):
+            // re-prepare.
             _ => Ok(false),
         };
-        let maintained = match maintained {
-            Ok(m) => m,
-            Err(e) => {
-                // The engine may be half-patched (the recount errored
-                // mid-swap): roll the database back and rebuild from the
-                // restored copy instead of serving from it again.
-                return Err(self.roll_back(snapshot, e));
+        match maintained {
+            Ok(true) => {
+                self.stats.updates += 1;
+                self.stats.incremental_updates += 1;
+                self.anytime = None;
+                return Ok(());
             }
-        };
-        if maintained {
-            self.stats.updates += 1;
-            self.stats.incremental_updates += 1;
-            self.anytime = None;
-            return Ok(());
+            Ok(false) => {}
+            // The engine may be half-patched (the recount errored
+            // mid-swap): roll the database back and rebuild from the
+            // restored copy instead of serving from it again.
+            Err(e) => return Err(self.roll_back(snapshot, e)),
         }
-        match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
-            Ok((resolved, complexity, state)) => {
-                self.resolved = resolved;
-                self.complexity = complexity;
-                self.state = state;
+        match self.rebuild() {
+            Ok(()) => {
                 self.stats.updates += 1;
                 self.stats.full_recompiles += 1;
                 self.anytime = None;
@@ -1332,11 +1030,8 @@ impl ShapleySession {
             // and stays degraded when the rebuild fails for the same
             // kind of reason — a fallback session must absorb updates to
             // the very instances whose exact preparation fails.
-            Err(e)
-                if tier_degradable(&e)
-                    && matches!(self.state, EngineState::ExactUnavailable(_)) =>
-            {
-                self.state = EngineState::ExactUnavailable(e.to_string());
+            Err(e) if tier_degradable(&e) && self.is_exact_unavailable() => {
+                self.exact = Err(NoExact::Unavailable(e.to_string()));
                 self.stats.updates += 1;
                 self.anytime = None;
                 Ok(())
@@ -1356,31 +1051,22 @@ impl ShapleySession {
     /// Returns the error to surface for the rejected update.
     fn roll_back(&mut self, snapshot: Database, cause: CoreError) -> CoreError {
         self.db = snapshot;
-        self.prob = ProbState::NotBuilt;
+        self.prob = None;
         self.stats.rolled_back += 1;
         // The failure may have tripped the (sticky) session token; the
         // restoration rebuild deserves a fresh budget of its own.
         self.rearm();
-        match build_state(&self.db, &self.spec, &self.options, self.cancel.as_ref()) {
-            Ok((resolved, complexity, state)) => {
-                self.resolved = resolved;
-                self.complexity = complexity;
-                self.state = state;
-            }
+        if let Err(e) = self.rebuild() {
             // A fallback session never had an exact engine to lose: a
             // degradable rebuild failure leaves it serving its degraded
             // tiers from the restored database.
-            Err(e)
-                if tier_degradable(&e)
-                    && matches!(self.state, EngineState::ExactUnavailable(_)) =>
-            {
-                self.resolved = None;
-                self.state = EngineState::ExactUnavailable(e.to_string());
-            }
-            Err(e) => {
-                self.resolved = None;
-                self.state = EngineState::Poisoned(e.to_string());
-            }
+            let reason = e.to_string();
+            self.resolved = None;
+            self.exact = Err(if tier_degradable(&e) && self.is_exact_unavailable() {
+                NoExact::Unavailable(reason)
+            } else {
+                NoExact::Poisoned(reason)
+            });
         }
         cause
     }
@@ -1389,76 +1075,19 @@ impl ShapleySession {
 /// Probabilities live in `[0, 1]`; sessions reject instead of panicking
 /// like [`FactProbabilities::set`] does.
 fn check_probability(p: &BigRational) -> Result<(), CoreError> {
-    if p.is_negative() || p > &BigRational::one() {
-        return Err(CoreError::Unsupported(format!(
+    if FactProbabilities::is_valid(p) {
+        Ok(())
+    } else {
+        Err(CoreError::Unsupported(format!(
             "probability {p} is outside [0, 1]"
-        )));
+        )))
     }
-    Ok(())
-}
-
-/// The signed numerator sum of the `ExoShap` union terms for one fact
-/// (every rewritten database keeps the original `Dn`, so all terms
-/// share the denominator `m!`).
-fn exo_union_numerator(
-    terms: &[ExoTerm],
-    f: FactId,
-    cancel: Option<&CancelToken>,
-) -> Result<BigInt, CoreError> {
-    let mut acc = BigInt::zero();
-    for t in terms {
-        if let Some(token) = cancel {
-            crate::budget::check(token, cqshap_obs::phase::UNION_TERMS)?;
-        }
-        let n = t.engine.shapley_numerator(&t.db, f)?;
-        if t.negative {
-            acc -= &n;
-        } else {
-            acc += &n;
-        }
-    }
-    Ok(acc)
-}
-
-fn exo_union_normalize(terms: &[ExoTerm], num: BigInt) -> BigRational {
-    match terms.first() {
-        Some(t) => t.engine.normalize_numerator(num),
-        None => BigRational::zero(),
-    }
-}
-
-/// Per-fact values and the exact total for the `ExoShap` union state,
-/// all accumulated in the shared numerator domain. A tripped budget
-/// reports how many facts completed.
-fn exo_union_values(
-    terms: &[ExoTerm],
-    facts: &[FactId],
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<BigRational>, BigRational), CoreError> {
-    let mut total = BigInt::zero();
-    let mut values = Vec::with_capacity(facts.len());
-    for &f in facts {
-        if let Some(token) = cancel {
-            crate::budget::check_partial(token, cqshap_obs::phase::UNION_TERMS, Some(values.len()))
-                .map_err(|e| {
-                    e.with_partial_answers(values.iter().cloned().enumerate().collect())
-                })?;
-        }
-        // The kernels inside the numerator poll the same token — a trip
-        // mid-fact must also carry the facts already finished.
-        let num = exo_union_numerator(terms, f, cancel)
-            .map_err(|e| e.with_partial_answers(values.iter().cloned().enumerate().collect()))?;
-        total += &num;
-        values.push(exo_union_normalize(terms, num));
-    }
-    Ok((values, exo_union_normalize(terms, total)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domain::probability_by_enumeration;
-    use crate::shapley::Strategy;
     use cqshap_query::{parse_cq, parse_ucq};
 
     fn university() -> Database {
@@ -1587,40 +1216,88 @@ mod tests {
         assert!(salvaged, "no work cap tripped mid-batch with answers");
     }
 
+    /// A CQ¬ routed to `ExoShap` under `Auto`: `q2` is non-hierarchical,
+    /// but has no non-hierarchical path once `Stud` and `Course` are
+    /// exogenous relations.
+    fn exoshap_cq() -> (Database, ConjunctiveQuery) {
+        let db = Database::parse(
+            "exorel Stud\nexorel Course\n\
+             exo Stud(a)\nexo Stud(b)\n\
+             exo Course(c1, CS)\nexo Course(c2, EE)\n\
+             endo TA(a)\nendo Reg(a, c1)\nendo Reg(a, c2)\nendo Reg(b, c2)\n",
+        )
+        .unwrap();
+        let q = parse_cq("q2() :- Stud(x), !TA(x), Reg(x, y), !Course(y, 'CS')").unwrap();
+        (db, q)
+    }
+
+    /// A CQ¬ whose `ExoShap` rewriting is always false: `R` is an empty
+    /// exogenous relation.
+    fn always_false_cq() -> (Database, ConjunctiveQuery) {
+        let mut db = Database::parse("endo S(a)\nendo S(b)\n").unwrap();
+        let r = db.add_relation("R", 1).unwrap();
+        db.declare_exogenous_relation(r).unwrap();
+        (db, parse_cq("q() :- S(x), R(u)").unwrap())
+    }
+
     #[test]
     fn session_value_equals_report_for_every_strategy_and_fact() {
-        // The strategy is resolved once per session, so the single-value
-        // and report paths can never diverge (the old free functions
-        // could route differently under Auto).
-        let db = Database::parse(
+        // The strategy is resolved once per session, so the single-value,
+        // slice and report paths can never diverge (the old free functions
+        // could route differently under Auto) — on every route the plan
+        // produces: compiled and rewritten unions, a rewritten CQ¬, an
+        // always-false rewriting (no terms), and per-fact enumeration.
+        let union_db = Database::parse(
             "exo Stud(a)\nexo Stud(b)\n\
              endo TA(a)\nendo Reg(a, c1)\nendo Reg(b, c2)\n\
              endo T(t0)\n",
         )
         .unwrap();
         let u = parse_ucq("q1() :- Stud(x), !TA(x), Reg(x, y)\nq2() :- T(z)\n").unwrap();
-        for strategy in [
-            Strategy::Auto,
-            Strategy::Hierarchical,
-            Strategy::ExoShap,
-            Strategy::BruteForceSubsets,
-            Strategy::BruteForcePermutations,
-        ] {
-            let opts = ShapleyOptions::with_strategy(strategy);
-            let session = match ShapleySession::prepare(&db, AnyQuery::Union(&u), &opts) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let report = session.report().unwrap();
-            assert!(report.efficiency_holds(), "{strategy:?}");
-            for &f in db.endo_facts() {
-                assert_eq!(
-                    session.value(f).unwrap(),
-                    report.entry(f).unwrap().value,
-                    "{strategy:?} {}",
-                    db.render_fact(f)
-                );
+        let (exo_db, exo_q) = exoshap_cq();
+        let (false_db, false_q) = always_false_cq();
+        let mut routes = Vec::new();
+        for (input, (db, query)) in [
+            (&union_db, AnyQuery::Union(&u)),
+            (&exo_db, AnyQuery::Cq(&exo_q)),
+            (&false_db, AnyQuery::Cq(&false_q)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for strategy in [
+                Strategy::Auto,
+                Strategy::Hierarchical,
+                Strategy::ExoShap,
+                Strategy::BruteForceSubsets,
+                Strategy::BruteForcePermutations,
+            ] {
+                let opts = ShapleyOptions::with_strategy(strategy);
+                let session = match ShapleySession::prepare(db, query, &opts) {
+                    Ok(s) => s,
+                    Err(_) => continue,
+                };
+                routes.push((input, session.strategy()));
+                let context = format!("{strategy:?} {}", query.name());
+                let report = session.report().unwrap();
+                assert!(report.efficiency_holds(), "{context}");
+                let facts = db.endo_facts().to_vec();
+                let values = session.values(&facts).unwrap();
+                for (&f, v) in facts.iter().zip(&values) {
+                    let entry = &report.entry(f).unwrap().value;
+                    let context = format!("{context} {}", db.render_fact(f));
+                    assert_eq!(&session.value(f).unwrap(), entry, "{context}");
+                    assert_eq!(v, entry, "{context}");
+                }
             }
+        }
+        for route in [
+            (0, Some(ResolvedStrategy::Hierarchical)),
+            (0, Some(ResolvedStrategy::ExoShap)),
+            (1, Some(ResolvedStrategy::ExoShap)),
+            (2, Some(ResolvedStrategy::ExoShap)),
+        ] {
+            assert!(routes.contains(&route), "route {route:?} never taken");
         }
     }
 
@@ -1927,6 +1604,30 @@ mod tests {
         }
     }
 
+    /// `probability()` and every `expected_shapley(f)` of `session`
+    /// equal world enumeration over its database and query.
+    fn assert_probabilities_match_enumeration(session: &mut ShapleySession, query: AnyQuery<'_>) {
+        let db = session.database().clone();
+        let probs = session.probabilities().clone();
+        let enumerate = |forced| probability_by_enumeration(&db, query, &probs, forced, 26);
+        assert_eq!(
+            session.probability().unwrap(),
+            enumerate(None).unwrap(),
+            "{}",
+            query.name()
+        );
+        for &f in db.endo_facts() {
+            let want = enumerate(Some((f, true))).unwrap() - enumerate(Some((f, false))).unwrap();
+            assert_eq!(
+                session.expected_shapley(f).unwrap(),
+                want,
+                "{} {}",
+                query.name(),
+                db.render_fact(f)
+            );
+        }
+    }
+
     #[test]
     fn union_session_probability_matches_enumeration() {
         let db = Database::parse(
@@ -1940,31 +1641,39 @@ mod tests {
              q2() :- Lab(l), Asst(l, a), !Closed(l)\n",
         )
         .unwrap();
-        let mut session =
-            ShapleySession::prepare(&db, AnyQuery::Union(&u), &ShapleyOptions::auto()).unwrap();
-        session.set_default_probability(rat(3, 10)).unwrap();
-        let want =
-            probability_by_enumeration(&db, AnyQuery::Union(&u), session.probabilities(), None, 26)
-                .unwrap();
-        assert_eq!(session.probability().unwrap(), want);
-        let asst = db.find_fact("Asst", &["l1", "a"]).unwrap();
-        let present = probability_by_enumeration(
-            &db,
-            AnyQuery::Union(&u),
-            session.probabilities(),
-            Some((asst, true)),
-            26,
-        )
-        .unwrap();
-        let absent = probability_by_enumeration(
-            &db,
-            AnyQuery::Union(&u),
-            session.probabilities(),
-            Some((asst, false)),
-            26,
-        )
-        .unwrap();
-        assert_eq!(session.expected_shapley(asst).unwrap(), present - absent);
+        // Absorbed disjuncts: {2} and {1,2} share one canonical class whose
+        // coefficients cancel, so the plan keeps a single term.
+        let ground_db = Database::parse("endo R(a)\nendo S(b)\nendo T(c)\n").unwrap();
+        let absorbed = parse_ucq("q1() :- R('a'); q2() :- R('a'), S('b')").unwrap();
+        for (db, u) in [(&db, &u), (&ground_db, &absorbed)] {
+            let mut session =
+                ShapleySession::prepare(db, AnyQuery::Union(u), &ShapleyOptions::auto()).unwrap();
+            assert_eq!(session.strategy(), Some(ResolvedStrategy::Hierarchical));
+            session.set_default_probability(rat(3, 10)).unwrap();
+            let first = db.endo_facts()[0];
+            session.set_probability(first, rat(5, 8)).unwrap();
+            assert_probabilities_match_enumeration(&mut session, AnyQuery::Union(u));
+        }
+    }
+
+    #[test]
+    fn exoshap_union_probability_runs_over_the_plan_terms() {
+        // The union is outside the compiled fragment (q1 is
+        // non-hierarchical), so Auto routes it through per-conjunction
+        // ExoShap terms. With |Dn| above the brute-force limit, world
+        // enumeration is out of reach: the probabilistic reads must run
+        // over the session plan's rewritten terms.
+        let (mut db, q1) = exoshap_cq();
+        db.add_endo("T", &["t0"]).unwrap();
+        let u = UnionQuery::new("q", vec![q1, parse_cq("q3() :- T(z)").unwrap()]).unwrap();
+        let opts = ShapleyOptions::auto().brute_force_limit(2);
+        let mut session = ShapleySession::prepare(&db, AnyQuery::Union(&u), &opts).unwrap();
+        assert_eq!(session.strategy(), Some(ResolvedStrategy::ExoShap));
+        assert!(db.endo_count() > 2);
+        session.set_default_probability(rat(2, 5)).unwrap();
+        let ta = db.find_fact("TA", &["a"]).unwrap();
+        session.set_probability(ta, rat(1, 8)).unwrap();
+        assert_probabilities_match_enumeration(&mut session, AnyQuery::Union(&u));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //!
 //! The reduction is due to Livshits et al.; the paper observes it makes
 //! no monotonicity assumption, which is exactly what negation needs.
-// cqshap-lint: allow-file(no-panic-index) -- lane and bucket tables are sized before they are indexed
 
 use std::collections::HashMap;
 
@@ -28,10 +27,10 @@ use cqshap_query::{
 
 use crate::anyquery::AnyQuery;
 use crate::budget::{Budget, CancelToken};
-use crate::compiled::CompiledCount;
-use crate::compiled_union::CompiledUnionCount;
+use crate::compiled_union::{
+    check_endogenous, cq_terms, plan, signed_sum, subset_conjunctions, Term,
+};
 use crate::error::CoreError;
-use crate::exoshap;
 use crate::satcount::{BruteForceCounter, HierarchicalCounter, SatCountOracle};
 
 /// How to compute an exact Shapley value.
@@ -152,13 +151,13 @@ impl ShapleyOptions {
         (!self.budget.is_unlimited()).then(|| self.budget.token())
     }
 
-    /// The brute-force oracle honoring `brute_force_limit` and, when the
-    /// budget is limited, polling a fresh token armed for this call.
-    pub(crate) fn brute_oracle(&self) -> BruteForceCounter {
+    /// The brute-force oracle honoring `brute_force_limit` and, when
+    /// given, polling `cancel`.
+    pub(crate) fn brute_oracle(&self, cancel: Option<&CancelToken>) -> BruteForceCounter {
         let counter =
             BruteForceCounter::with_limit(self.brute_force_limit).with_threads(self.threads);
-        match self.cancel_token() {
-            Some(token) => counter.with_cancel(token),
+        match cancel {
+            Some(token) => counter.with_cancel(token.clone()),
             None => counter,
         }
     }
@@ -193,11 +192,7 @@ pub fn shapley_via_counts(
     f: FactId,
     oracle: &dyn SatCountOracle,
 ) -> Result<BigRational, CoreError> {
-    if db.endo_index(f).is_none() {
-        return Err(CoreError::FactNotEndogenous {
-            fact: db.render_fact(f),
-        });
-    }
+    check_endogenous(db, f)?;
     let m = db.endo_count();
     let n_minus = oracle.counts_masked(db, q, FactMask::Removed(f))?;
     let n_plus = oracle.counts_masked(db, q, FactMask::Exogenous(f))?;
@@ -205,8 +200,8 @@ pub fn shapley_via_counts(
     debug_assert_eq!(n_plus.len(), m);
     let table = FactorialTable::new(m);
     let mut num = BigInt::zero();
-    for k in 0..m {
-        let diff = BigInt::signed_diff(&n_plus[k], &n_minus[k]);
+    for (k, (plus, minus)) in n_plus.iter().zip(&n_minus).enumerate() {
+        let diff = BigInt::signed_diff(plus, minus);
         if !diff.is_zero() {
             num += &(diff * BigInt::from_biguint(table.shapley_weight_numerator(m, k)));
         }
@@ -242,17 +237,13 @@ pub fn shapley_by_permutations_cancel(
     limit: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<BigRational, CoreError> {
-    let pos = db
-        .endo_index(f)
-        .ok_or_else(|| CoreError::FactNotEndogenous {
-            fact: db.render_fact(f),
-        })?;
+    check_endogenous(db, f)?;
     let m = db.endo_count();
     if m > limit {
         return Err(CoreError::TooManyEndogenousFacts { count: m, limit });
     }
     let compiled = q.compile(db);
-    let mut order: Vec<usize> = (0..m).collect();
+    let mut order: Vec<FactId> = db.endo_facts().to_vec();
     let mut total = BigInt::zero();
     let mut visited: u64 = 0;
     permute(&mut order, 0, &mut |perm| {
@@ -261,11 +252,8 @@ pub fn shapley_by_permutations_cancel(
             return false;
         }
         let mut world = World::empty(db);
-        for &p in perm {
-            if p == pos {
-                break;
-            }
-            world.insert(db, db.endo_facts()[p]);
+        for &g in perm.iter().take_while(|&&g| g != f) {
+            world.insert(db, g);
         }
         let before = compiled.satisfied(db, &world);
         world.insert(db, f);
@@ -282,7 +270,7 @@ pub fn shapley_by_permutations_cancel(
 
 /// Visits every permutation in place; the visitor returns `false` to
 /// abort the enumeration (cooperative cancellation).
-fn permute(order: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize]) -> bool) -> bool {
+fn permute<T>(order: &mut Vec<T>, k: usize, visit: &mut impl FnMut(&[T]) -> bool) -> bool {
     if k == order.len() {
         return visit(order);
     }
@@ -314,9 +302,9 @@ pub fn shapley_value(
 
 /// Computes `Shapley(D, U, f)` for a UCQ¬.
 ///
-/// `Auto` and `Hierarchical` route through the inclusion–exclusion
-/// engine [`CompiledUnionCount`] whenever every non-empty intersection
-/// of disjuncts conjoins into the compiled fragment (Section 5.2's
+/// `Auto` and `Hierarchical` route through the compiled
+/// inclusion–exclusion sum whenever every non-empty intersection of
+/// disjuncts conjoins into the compiled fragment (Section 5.2's
 /// extension of the tractability frontier to UCQ¬s); `Auto` then tries
 /// the per-conjunction `ExoShap` rewriting (the union analogue of the
 /// single-CQ¬ dichotomy ladder) and finally brute force. `ExoShap`
@@ -331,19 +319,15 @@ pub fn shapley_value_union(
     f: FactId,
     options: &ShapleyOptions,
 ) -> Result<BigRational, CoreError> {
-    if db.endo_index(f).is_none() {
-        return Err(CoreError::FactNotEndogenous {
-            fact: db.render_fact(f),
-        });
-    }
+    check_endogenous(db, f)?;
     crate::session::ShapleySession::prepare(db, AnyQuery::Union(u), options)?.value(f)
 }
 
 /// Computes the Shapley value of *every* endogenous fact of `db` for a
 /// UCQ¬, strategy-routed like [`shapley_value_union`] but with the
-/// compiled paths batched: the inclusion–exclusion engine is compiled
-/// once and the per-fact recounts fan out across threads chunked by the
-/// engine's combined root-group buckets.
+/// compiled paths batched: every term is compiled once and the per-fact
+/// recounts fan out across threads chunked by the terms' combined
+/// root-group buckets.
 pub fn shapley_report_union(
     db: &Database,
     u: &UnionQuery,
@@ -365,243 +349,76 @@ pub fn shapley_report_union_per_fact(
 ) -> Result<ShapleyReport, CoreError> {
     let facts = db.endo_facts();
     let cancel = options.cancel_token();
-    let values = match resolve_union_route(db, u, options, cancel.as_ref())? {
-        UnionRoute::Compiled => {
-            let subsets: Vec<(bool, ConjunctiveQuery)> =
-                CompiledUnionCount::subset_conjunctions(u)?
-                    .into_iter()
-                    .map(|(negative, _, q)| (negative, q))
-                    .collect();
-            crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                let mut acc = BigRational::zero();
-                for (negative, q) in &subsets {
-                    let v =
-                        shapley_via_counts(db, AnyQuery::Cq(q), facts[i], &HierarchicalCounter)?;
-                    signed_add(&mut acc, &v, *negative);
-                }
-                Ok::<BigRational, CoreError>(acc)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-        }
-        UnionRoute::ExoShap(terms) => {
-            let outcomes: Vec<(bool, exoshap::RewriteOutcome)> = terms
+    let values = match plan(db, AnyQuery::Union(u), options)? {
+        // The compiled route's oracle sums the raw subset conjunctions,
+        // independent of the canonical-class merging.
+        (ResolvedStrategy::Hierarchical, Some(_)) => {
+            let subsets: Vec<Term> = subset_conjunctions(u)?
                 .into_iter()
-                .map(|(negative, outcome, _)| (negative, outcome))
+                .map(|(_, t)| t)
                 .collect();
-            exoshap_union_per_fact_values(&outcomes, facts, options.threads)?
+            per_fact(options.threads, facts, |f| term_value(db, &subsets, f))?
         }
-        UnionRoute::BruteForce => union_brute_values(db, u, facts, options)?,
-        UnionRoute::Permutations => {
-            let cancel = &cancel;
-            crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-                shapley_by_permutations_cancel(
-                    db,
-                    AnyQuery::Union(u),
-                    facts[i],
-                    options.permutation_limit,
-                    cancel.as_ref(),
-                )
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-        }
+        (_, Some(terms)) => per_fact(options.threads, facts, |f| term_value(db, &terms, f))?,
+        (resolved, None) => per_fact(options.threads, facts, |f| {
+            enumerated_value(
+                db,
+                AnyQuery::Union(u),
+                f,
+                resolved,
+                options,
+                cancel.as_ref(),
+            )
+        })?,
     };
     Ok(assemble_report(db, values, union_efficiency_target(db, u)))
 }
 
-/// The signed, rewritten terms evaluated per fact with from-scratch
-/// hierarchical DP runs (the `ExoShap` reference path, and the terminal
-/// step of [`shapley_value_union`]'s single-fact evaluation).
-pub(crate) fn exoshap_union_per_fact_values(
-    terms: &[(bool, exoshap::RewriteOutcome)],
-    facts: &[FactId],
-    threads: usize,
-) -> Result<Vec<BigRational>, CoreError> {
-    crate::parallel::par_map_with(threads, facts.len(), |i| {
-        let mut acc = BigRational::zero();
-        for (negative, outcome) in terms {
-            let v = shapley_via_counts(
-                &outcome.db,
-                AnyQuery::Cq(&outcome.query),
-                facts[i],
-                &HierarchicalCounter,
-            )?;
-            signed_add(&mut acc, &v, *negative);
-        }
-        Ok::<BigRational, CoreError>(acc)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// The algorithm a UCQ¬ strategy resolved to — shared by
-/// [`shapley_value_union`], [`shapley_report_union`] (both through the
-/// session), and [`shapley_report_union_per_fact`], so one input can
-/// never route differently between the single-value and report paths.
-pub(crate) enum UnionRoute {
-    /// The compiled inclusion–exclusion engine.
-    Compiled,
-    /// The per-conjunction `ExoShap` rewriting: the signed rewritten
-    /// terms with their engines already compiled (compiled once here,
-    /// whether for `Auto` validation or an explicit strategy, and
-    /// carried to the caller instead of being rebuilt).
-    ExoShap(Vec<(bool, exoshap::RewriteOutcome, CompiledCount)>),
-    /// Explicit subset enumeration.
-    BruteForce,
-    /// Explicit permutation enumeration.
-    Permutations,
-}
-
-/// Compiles the batched engine of every `ExoShap` union term.
-fn compile_exoshap_terms(
-    terms: Vec<(bool, exoshap::RewriteOutcome)>,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<(bool, exoshap::RewriteOutcome, CompiledCount)>, CoreError> {
-    terms
-        .into_iter()
-        .map(|(negative, outcome)| {
-            let engine = match cancel {
-                Some(token) => CompiledCount::compile_with_cancel(
-                    &outcome.db,
-                    &outcome.query,
-                    threads,
-                    token.clone(),
-                )?,
-                None => CompiledCount::compile_with_threads(&outcome.db, &outcome.query, threads)?,
-            };
-            Ok((negative, outcome, engine))
-        })
-        .collect()
-}
-
-/// Checks every subset conjunction of `u` against the compiled
-/// fragment.
-fn check_union_tractable(u: &UnionQuery) -> Result<(), CoreError> {
-    for (_, label, q) in CompiledUnionCount::subset_conjunctions(u)? {
-        CompiledUnionCount::check_tractable(&label, &q)?;
-    }
-    Ok(())
-}
-
-/// Resolves a union strategy once. `Auto` descends the ladder: the
-/// compiled inclusion–exclusion engine whenever every intersection lies
-/// in the compiled fragment, then the per-conjunction `ExoShap`
-/// rewriting (validated end-to-end, including the rewritten engines),
-/// then brute force within the limit, and only then surfaces the
-/// original intersection error.
-pub(crate) fn resolve_union_route(
+/// One fact's value through signed terms, with a from-scratch
+/// hierarchical count run per term — the per-fact reference evaluation
+/// of a plan.
+pub(crate) fn term_value(
     db: &Database,
-    u: &UnionQuery,
-    options: &ShapleyOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<UnionRoute, CoreError> {
-    match options.strategy {
-        Strategy::BruteForcePermutations => Ok(UnionRoute::Permutations),
-        Strategy::BruteForceSubsets => Ok(UnionRoute::BruteForce),
-        Strategy::Hierarchical => {
-            check_union_tractable(u)?;
-            Ok(UnionRoute::Compiled)
-        }
-        Strategy::ExoShap => Ok(UnionRoute::ExoShap(compile_exoshap_terms(
-            exoshap_union_terms(db, u, options.tuple_budget)?,
-            options.threads,
-            cancel,
-        )?)),
-        Strategy::Auto => match check_union_tractable(u) {
-            Ok(()) => Ok(UnionRoute::Compiled),
-            Err(e) if compiled_union_inapplicable(&e) => {
-                if let Ok(terms) = exoshap_union_terms(db, u, options.tuple_budget) {
-                    match compile_exoshap_terms(terms, options.threads, cancel) {
-                        Ok(compiled) => return Ok(UnionRoute::ExoShap(compiled)),
-                        // A tripped deadline must surface, not silently
-                        // downgrade the route to brute force.
-                        Err(d @ CoreError::DeadlineExceeded { .. }) => return Err(d),
-                        Err(_) => {}
-                    }
-                }
-                if db.endo_count() <= options.brute_force_limit {
-                    Ok(UnionRoute::BruteForce)
-                } else {
-                    Err(e)
-                }
-            }
-            Err(e) => Err(e),
-        },
-    }
-}
-
-/// `acc ± v` by the inclusion–exclusion sign.
-pub(crate) fn signed_add(acc: &mut BigRational, v: &BigRational, negative: bool) {
-    if negative {
-        *acc -= v;
-    } else {
-        *acc += v;
-    }
-}
-
-/// Should `Auto` absorb this compile failure by falling back to brute
-/// force (the union is outside the compiled fragment), rather than
-/// propagate it (a genuine input error)?
-pub(crate) fn compiled_union_inapplicable(e: &CoreError) -> bool {
-    matches!(
-        e,
-        CoreError::IntractableIntersection { .. }
-            | CoreError::NotHierarchical { .. }
-            | CoreError::NotSelfJoinFree { .. }
-            | CoreError::Unsupported(_)
+    terms: &[Term],
+    f: FactId,
+) -> Result<BigRational, CoreError> {
+    signed_sum(
+        terms,
+        |t| t.coeff,
+        |t| shapley_via_counts(t.db_or(db), AnyQuery::Cq(&t.query), f, &HierarchicalCounter),
     )
 }
 
-pub(crate) fn union_brute_value(
+/// One fact's value under an enumeration strategy: permutations within
+/// `permutation_limit`, else subset counting within
+/// `brute_force_limit`, both polling `cancel`.
+pub(crate) fn enumerated_value(
     db: &Database,
-    u: &UnionQuery,
+    q: AnyQuery<'_>,
     f: FactId,
+    resolved: ResolvedStrategy,
     options: &ShapleyOptions,
+    cancel: Option<&CancelToken>,
 ) -> Result<BigRational, CoreError> {
-    shapley_via_counts(db, AnyQuery::Union(u), f, &options.brute_oracle())
-}
-
-pub(crate) fn union_brute_values(
-    db: &Database,
-    u: &UnionQuery,
-    facts: &[FactId],
-    options: &ShapleyOptions,
-) -> Result<Vec<BigRational>, CoreError> {
-    crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-        union_brute_value(db, u, facts[i], options)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// The `ExoShap` rewriting applied per subset conjunction: the signed,
-/// rewritten inclusion–exclusion terms (unsatisfiable conjunctions and
-/// always-false rewriting outcomes contribute zero and are skipped).
-///
-/// # Errors
-/// [`CoreError::IntractableIntersection`] naming the intersection whose
-/// conjunction the rewriting rejects.
-pub(crate) fn exoshap_union_terms(
-    db: &Database,
-    u: &UnionQuery,
-    tuple_budget: usize,
-) -> Result<Vec<(bool, exoshap::RewriteOutcome)>, CoreError> {
-    let mut out = Vec::new();
-    for (negative, label, q) in CompiledUnionCount::subset_conjunctions(u)? {
-        let outcome = exoshap::rewrite(db, &q, tuple_budget).map_err(|e| {
-            CoreError::IntractableIntersection {
-                intersection: label.clone(),
-                reason: e.to_string(),
-            }
-        })?;
-        if outcome.always_false {
-            continue;
+    match resolved {
+        ResolvedStrategy::Permutations => {
+            shapley_by_permutations_cancel(db, q, f, options.permutation_limit, cancel)
         }
-        out.push((negative, outcome));
+        _ => shapley_via_counts(db, q, f, &options.brute_oracle(cancel)),
     }
-    Ok(out)
+}
+
+/// Fans independent per-fact computations out across threads, chunked
+/// by raw fact index.
+pub(crate) fn per_fact(
+    threads: usize,
+    facts: &[FactId],
+    value: impl Fn(FactId) -> Result<BigRational, CoreError> + Sync,
+) -> Result<Vec<BigRational>, CoreError> {
+    // cqshap-lint: allow(no-panic-index) -- par_map_with yields i in 0..facts.len()
+    crate::parallel::par_map_with(threads, facts.len(), |i| value(facts[i]))
+        .into_iter()
+        .collect()
 }
 
 /// `U(D) − U(Dx)` — what a union report's value total must equal by the
@@ -781,39 +598,12 @@ impl ShapleyReport {
     /// observe that), the lookup verifies the hit and falls back to a
     /// scan rather than return the wrong fact's entry.
     pub fn entry(&self, f: FactId) -> Option<&ShapleyEntry> {
-        match self.index.get(&f) {
-            Some(&i) if self.entries.get(i).is_some_and(|e| e.fact == f) => Some(&self.entries[i]),
-            _ => self.entries.iter().find(|e| e.fact == f),
-        }
+        self.index
+            .get(&f)
+            .and_then(|&i| self.entries.get(i))
+            .filter(|e| e.fact == f)
+            .or_else(|| self.entries.iter().find(|e| e.fact == f))
     }
-}
-
-/// Resolves the strategy and performs the (shared) `ExoShap` rewriting.
-fn prepare_report(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: &ShapleyOptions,
-) -> Result<(ResolvedStrategy, Option<exoshap::RewriteOutcome>), CoreError> {
-    let resolved = resolve_strategy(db, q, options)?;
-    let rewritten = match resolved {
-        ResolvedStrategy::ExoShap => Some(exoshap::rewrite(db, q, options.tuple_budget)?),
-        _ => None,
-    };
-    Ok((resolved, rewritten))
-}
-
-/// All-zero report (the `always_false` rewriting outcome).
-pub(crate) fn zero_report(db: &Database) -> ShapleyReport {
-    let entries = db
-        .endo_facts()
-        .iter()
-        .map(|&f| ShapleyEntry {
-            fact: f,
-            rendered: db.render_fact(f),
-            value: BigRational::zero(),
-        })
-        .collect();
-    ShapleyReport::new(entries, BigRational::zero())
 }
 
 /// `q(D) − q(Dx)` — what the value total must equal by efficiency.
@@ -853,154 +643,10 @@ fn report_entries(db: &Database, values: Vec<BigRational>) -> Vec<ShapleyEntry> 
         .collect()
 }
 
-/// What the chunked report fan-out needs from a compiled engine —
-/// implemented by the single-CQ¬ [`CompiledCount`] and the
-/// inclusion–exclusion [`CompiledUnionCount`]. Engines do not borrow
-/// the database, so each call re-supplies it.
-pub(crate) trait BatchedEngine: Sync {
-    /// Total number of bucket ids.
-    fn buckets(&self, db: &Database) -> usize;
-    /// The recount-state bucket of `f`.
-    fn bucket_of(&self, db: &Database, f: FactId) -> usize;
-    /// The Shapley numerator of `f` over the common denominator `m!`.
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError>;
-    /// `num / m!` in lowest terms (memoized by the engine).
-    fn normalize(&self, num: BigInt) -> BigRational;
-}
-
-impl BatchedEngine for CompiledCount {
-    fn buckets(&self, _db: &Database) -> usize {
-        CompiledCount::buckets(self)
-    }
-    fn bucket_of(&self, _db: &Database, f: FactId) -> usize {
-        CompiledCount::bucket_of(self, f)
-    }
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
-        CompiledCount::shapley_numerator(self, db, f)
-    }
-    fn normalize(&self, num: BigInt) -> BigRational {
-        CompiledCount::normalize_numerator(self, num)
-    }
-}
-
-impl BatchedEngine for CompiledUnionCount {
-    fn buckets(&self, db: &Database) -> usize {
-        CompiledUnionCount::buckets(self, db)
-    }
-    fn bucket_of(&self, db: &Database, f: FactId) -> usize {
-        CompiledUnionCount::bucket_of(self, db, f)
-    }
-    fn numerator(&self, db: &Database, f: FactId) -> Result<BigInt, CoreError> {
-        CompiledUnionCount::shapley_numerator(self, db, f)
-    }
-    fn normalize(&self, num: BigInt) -> BigRational {
-        CompiledUnionCount::normalize_numerator(self, num)
-    }
-}
-
-/// Computes all values through a batched compiled engine:
-/// compile once, then fan the per-fact recounts out across threads
-/// **chunked by root group**, so every thread works against the shared
-/// compiled state and a group's recount locality stays on one core.
-pub(crate) fn engine_values(
-    db: &Database,
-    compiled: &dyn BatchedEngine,
-    facts: &[FactId],
-    threads: usize,
-) -> Result<Vec<BigRational>, CoreError> {
-    Ok(engine_numerator_values(db, compiled, facts, threads)?.0)
-}
-
-/// [`engine_values`] plus the exact value total, accumulated over the
-/// engine's common denominator `m!` with plain integer additions and
-/// normalized once — summing the already-reduced rationals instead
-/// costs a gcd per fact and dominates large reports.
-pub(crate) fn engine_report_values(
-    db: &Database,
-    compiled: &dyn BatchedEngine,
-    facts: &[FactId],
-    threads: usize,
-) -> Result<(Vec<BigRational>, BigRational), CoreError> {
-    let (values, total) = engine_numerator_values(db, compiled, facts, threads)?;
-    Ok((values, compiled.normalize(total)))
-}
-
-fn engine_numerator_values(
-    db: &Database,
-    compiled: &dyn BatchedEngine,
-    facts: &[FactId],
-    threads: usize,
-) -> Result<(Vec<BigRational>, BigInt), CoreError> {
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); compiled.buckets(db)];
-    for (i, &f) in facts.iter().enumerate() {
-        buckets[compiled.bucket_of(db, f)].push(i);
-    }
-    buckets.retain(|b| !b.is_empty());
-    let lanes = crate::parallel::resolve_thread_cap(threads).min(buckets.len().max(1));
-    // Largest-first greedy assignment of whole buckets to worker lanes.
-    buckets.sort_by_key(|b| std::cmp::Reverse(b.len()));
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    let mut loads = vec![0usize; lanes];
-    for bucket in buckets {
-        // cqshap-lint: allow(no-panic) -- lanes >= 1, so the minimum over 0..lanes exists
-        let t = (0..lanes).min_by_key(|&t| loads[t]).expect("lanes >= 1");
-        loads[t] += bucket.len();
-        assignments[t].extend(bucket);
-    }
-    // Lanes return their completed prefix alongside any error so a
-    // tripped deadline can report how many facts finished.
-    let computed = crate::parallel::par_map_with(threads, assignments.len(), |t| {
-        let mut done = Vec::new();
-        for &i in &assignments[t] {
-            match compiled.numerator(db, facts[i]) {
-                Ok(num) => {
-                    let value = compiled.normalize(num.clone());
-                    done.push((i, num, value));
-                }
-                Err(e) => return (done, Some(e)),
-            }
-        }
-        (done, None)
-    });
-    let mut values: Vec<Option<BigRational>> = vec![None; facts.len()];
-    let mut total = BigInt::zero();
-    let mut completed = 0usize;
-    let mut failure: Option<CoreError> = None;
-    for (part, err) in computed {
-        for (i, num, v) in part {
-            total += &num;
-            values[i] = Some(v);
-            completed += 1;
-        }
-        if failure.is_none() {
-            failure = err;
-        }
-    }
-    if let Some(e) = failure {
-        // Salvage the finished answers: the lanes that completed hold
-        // exact values the caller should not have to recompute.
-        let answers: Vec<(usize, BigRational)> = values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.clone().map(|v| (i, v)))
-            .collect();
-        debug_assert_eq!(answers.len(), completed);
-        return Err(e.with_partial_answers(answers));
-    }
-    Ok((
-        values
-            .into_iter()
-            // cqshap-lint: allow(no-panic) -- the bucket partition assigns every fact exactly once
-            .map(|v| v.expect("every fact assigned to exactly one bucket"))
-            .collect(),
-        total,
-    ))
-}
-
 /// Computes the Shapley value of *every* endogenous fact of `db`.
 ///
 /// The hierarchical strategies (including the shared-once `ExoShap`
-/// rewriting) run through the batched [`CompiledCount`] engine —
+/// rewriting) run through the batched [`crate::CompiledCount`] engine —
 /// compile-once, amortized `O(|group|)` per fact, no database clones.
 /// Brute-force strategies fall back to independent per-fact runs.
 pub fn shapley_report(
@@ -1021,65 +667,34 @@ pub fn shapley_report_per_fact(
     q: &ConjunctiveQuery,
     options: &ShapleyOptions,
 ) -> Result<ShapleyReport, CoreError> {
-    let (resolved, rewritten) = prepare_report(db, q, options)?;
-    let (eff_db, eff_q): (&Database, &ConjunctiveQuery) = match &rewritten {
-        Some(rw) if rw.always_false => return Ok(zero_report(db)),
-        Some(rw) => (&rw.db, &rw.query),
-        None => (db, q),
-    };
+    let resolved = resolve_strategy(db, q, options)?;
     let facts = db.endo_facts();
-    let values = per_fact_values(eff_db, eff_q, facts, resolved, options, true)?;
-    Ok(assemble_report(
-        db,
-        values,
-        efficiency_target(eff_db, eff_q),
-    ))
-}
-
-/// Fans independent per-fact computations out across threads, chunked
-/// by raw fact index. With `materialize` set, each fact's modified
-/// databases are rebuilt as real copies (the seed behavior); otherwise
-/// the oracle sees [`FactMask`] views.
-pub(crate) fn per_fact_values(
-    eff_db: &Database,
-    eff_q: &ConjunctiveQuery,
-    facts: &[FactId],
-    resolved: ResolvedStrategy,
-    options: &ShapleyOptions,
-    materialize: bool,
-) -> Result<Vec<BigRational>, CoreError> {
-    // One armed token shared by every worker lane: the deadline bounds
-    // the whole report, not each fact.
-    let cancel = options.cancel_token();
-    let oracle: Box<dyn SatCountOracle> = match resolved {
-        ResolvedStrategy::Hierarchical | ResolvedStrategy::ExoShap => Box::new(HierarchicalCounter),
-        ResolvedStrategy::BruteForce | ResolvedStrategy::Permutations => {
-            let counter = BruteForceCounter::with_limit(options.brute_force_limit)
-                .with_threads(options.threads);
-            Box::new(match &cancel {
-                Some(token) => counter.with_cancel(token.clone()),
-                None => counter,
-            })
+    let values = match cq_terms(db, q, resolved, options.tuple_budget)? {
+        Some(terms) => per_fact(options.threads, facts, |f| {
+            signed_sum(
+                &terms,
+                |t| t.coeff,
+                |t| shapley_via_materialized_counts(t.db_or(db), &t.query, f, &HierarchicalCounter),
+            )
+        })?,
+        None => {
+            // One armed token shared by every worker lane: the deadline
+            // bounds the whole report, not each fact.
+            let cancel = options.cancel_token();
+            let oracle = options.brute_oracle(cancel.as_ref());
+            per_fact(options.threads, facts, |f| match resolved {
+                ResolvedStrategy::Permutations => shapley_by_permutations_cancel(
+                    db,
+                    AnyQuery::Cq(q),
+                    f,
+                    options.permutation_limit,
+                    cancel.as_ref(),
+                ),
+                _ => shapley_via_materialized_counts(db, q, f, &oracle),
+            })?
         }
     };
-    let oracle_ref: &dyn SatCountOracle = oracle.as_ref();
-    let cancel_ref = cancel.as_ref();
-    crate::parallel::par_map_with(options.threads, facts.len(), |i| {
-        let f = facts[i];
-        match resolved {
-            ResolvedStrategy::Permutations => shapley_by_permutations_cancel(
-                eff_db,
-                AnyQuery::Cq(eff_q),
-                f,
-                options.permutation_limit,
-                cancel_ref,
-            ),
-            _ if materialize => shapley_via_materialized_counts(eff_db, eff_q, f, oracle_ref),
-            _ => shapley_via_counts(eff_db, AnyQuery::Cq(eff_q), f, oracle_ref),
-        }
-    })
-    .into_iter()
-    .collect()
+    Ok(assemble_report(db, values, efficiency_target(db, q)))
 }
 
 /// The seed single-fact computation: materialized modified databases
@@ -1092,11 +707,7 @@ fn shapley_via_materialized_counts(
     f: FactId,
     oracle: &dyn SatCountOracle,
 ) -> Result<BigRational, CoreError> {
-    if db.endo_index(f).is_none() {
-        return Err(CoreError::FactNotEndogenous {
-            fact: db.render_fact(f),
-        });
-    }
+    check_endogenous(db, f)?;
     let m = db.endo_count();
     let (db_minus, _) = db.without_fact(f)?;
     let (db_plus, _) = db.with_fact_exogenous(f)?;
@@ -1104,9 +715,8 @@ fn shapley_via_materialized_counts(
     let n_plus = oracle.counts(&db_plus, AnyQuery::Cq(q))?;
     let table = FactorialTable::new(m);
     let mut acc = BigRational::zero();
-    for k in 0..m {
-        let diff =
-            BigInt::from_biguint(n_plus[k].clone()) - BigInt::from_biguint(n_minus[k].clone());
+    for (k, (plus, minus)) in n_plus.iter().zip(&n_minus).enumerate() {
+        let diff = BigInt::from_biguint(plus.clone()) - BigInt::from_biguint(minus.clone());
         if !diff.is_zero() {
             acc += &(table.shapley_weight(m, k) * BigRational::from_int(diff));
         }
