@@ -14,12 +14,12 @@
 //!    scopes, split into connected components, and group each
 //!    component's facts by their root value (the structure of Lemma
 //!    3.2's recursion, materialized).
-//! 2. **Cache** — every component's satisfying-count polynomial and
-//!    every root group's unsatisfying-count polynomial, plus
-//!    *leave-one-out environments* (prefix/suffix convolutions of all
-//!    the other groups' polynomials, combined divide-and-conquer) and
-//!    their correlations with the Shapley weight numerators
-//!    `k!·(m−1−k)!`.
+//! 2. **Cache** — every component's satisfying-count polynomial, every
+//!    root group's unsatisfying-count polynomial, and per rooted
+//!    component *one* product of those (see below), plus each group's
+//!    correlation of its *leave-one-out environment* (the product of
+//!    all the other groups' polynomials, derived from that one product)
+//!    with the Shapley weight numerators `k!·(m−1−k)!`.
 //! 3. **Recount** — for fact `f`, recompute only `f`'s root group under
 //!    the two [`FactMask`] views (`f` removed, `f` exogenized; no
 //!    database clones), and contract the short difference vector
@@ -37,27 +37,37 @@
 //! takes `&Database`, and [`CompiledCount::update`] *patches* the
 //! compiled state after an in-place database update
 //! ([`Database::retract_fact`] / [`Database::set_fact_provenance`] /
-//! an insertion) instead of recompiling. The key observation is that a
-//! root group's cached leave-one-out environment
-//! `genv_g = binom(junk) ⊛ ⊛_{h≠g} unsat_h` is a *product of the other
-//! groups' polynomials*: a single-group change is a factor swap, served
-//! by one exact polynomial division and one short convolution per
-//! environment — `O(|group| · m)` small-coefficient work — rather than
-//! re-running the divide-and-conquer product tree (the
-//! large-coefficient stage that dominates compilation; compile runs it
-//! through [`cqshap_numeric::poly`]'s scoped-thread trees with
-//! size-dispatched Karatsuba/NTT convolution, and the junk binomial
-//! factors are `O(n)` Pascal shifts).
-//! Only the touched group's counting recursion is re-run; the weight
-//! correlations (embarrassingly parallel, shared with compile) are then
-//! refreshed against the new `k!·(m−1−k)!` numerators. Structural
-//! drift — a root group appearing or dying, a query atom resolving
-//! differently — makes `update` report that a full recompile is needed.
+//! an insertion) instead of recompiling. Lemma 3.2 makes a rooted
+//! component's unsatisfying value a product over its root groups, so
+//! each rooted component maintains exactly one product,
+//! `U = free(junk) ⊛ ⊛_{g : unsat_g ≠ 0} unsat_g`, plus the number of
+//! groups whose `unsat_g` is zero (left out of `U`, so it stays
+//! divisible). A group's leave-one-out environment
+//! `free(junk) ⊛ ⊛_{h≠g} unsat_h` is never stored: it is *derived*
+//! when needed — `U / unsat_g` when no factor is zero, `U` itself for
+//! the single zero group, zero otherwise.
+//!
+//! A write therefore changes one factor of one product:
+//!
+//! * a group recount re-runs that group's recursion and swaps its
+//!   factor into `U` by one exact division and one multiplication;
+//! * a junk fact (±1) is one `O(n)` Pascal shift of `U`
+//!   ([`EvalDomain::push_free`] / [`EvalDomain::pop_free`]);
+//! * a factor turning zero (or nonzero) moves the zero count.
+//!
+//! The cost of the swap does not depend on how many groups the
+//! component has or on how many writes came before. The counting engine
+//! then refreshes its weight correlations against the new `k!·(m−1−k)!`
+//! numerators, deriving each representative group's environment right
+//! before correlating it; the probability engine derives an environment
+//! only when a fact's conditionals are asked for. Structural drift — a
+//! root group appearing or dying, a query atom resolving differently —
+//! makes `update` report that a full recompile is needed.
 //!
 //! The resulting values are *bit-identical* to the per-fact oracle: the
 //! weighted sums are accumulated as exact integers over the common
-//! denominator `m!` and normalized once, and every maintained
-//! polynomial is recomputed exactly (division of exact factors), so a
+//! denominator `m!` and normalized once, and every maintained value is
+//! exact (division of exact factors; rationals are canonical), so a
 //! maintained engine agrees bit-for-bit with a freshly compiled one.
 // cqshap-lint: allow-file(no-panic-index) -- counting kernels index component scopes and weight tables sized in the same function
 
@@ -138,13 +148,10 @@ struct RootGroup<V> {
     scopes: Vec<Vec<FactId>>,
     /// The group's unsatisfying value `complement(sat, endo)` on the
     /// unmodified db (counting: `[C(endo,j) − sat_j]`; probability:
-    /// `1 − P_c`).
+    /// `1 − P_c`) — one factor of the component's [`CompKind::Rooted`]
+    /// product, from which the group's leave-one-out environment is
+    /// derived on demand ([`group_env`]).
     unsat: V,
-    /// The leave-one-out environment `free(junk) ⊛ ⊛_{h≠g} unsat_h` —
-    /// cached so updates can maintain it by factor swaps. Isomorphic
-    /// groups (equal `unsat`) may share one allocation, so a swap
-    /// patches each *distinct* environment once.
-    genv: Arc<V>,
     /// Canonical form of the group's atoms and scope facts (constants
     /// renamed by first occurrence, endogeneity flags included): groups
     /// with equal forms are isomorphic, so their counting recounts
@@ -160,9 +167,18 @@ enum CompKind<V> {
     /// Connected with a root variable: one [`RootGroup`] per root value
     /// with full positive support.
     Rooted {
+        /// Endogenous junk facts (in scope, outside every root group).
         junk_endo: usize,
-        /// `⊛_g unsat_g` — shared by all junk-fact value queries.
-        unsat_all: V,
+        /// `U = free(junk_endo) ⊛ ⊛_{g : unsat_g ≠ 0} unsat_g` — the
+        /// component's unsatisfying value while `zeros` is 0, and the
+        /// one product a write maintains (a factor swap, or a Pascal
+        /// shift for junk).
+        unsat: V,
+        /// How many groups have `unsat_g = 0` (satisfied by every
+        /// coalition). They are left out of `unsat`, which stays
+        /// divisible; any of them zeroes the component's unsatisfying
+        /// value.
+        zeros: usize,
         groups: Vec<RootGroup<V>>,
     },
 }
@@ -242,7 +258,8 @@ pub struct CompiledCount {
     /// Per-component `W[j] = Σ_t w[j+t] · env[t]` with
     /// `w[k] = k!(m−1−k)!`.
     comp_weights: Vec<Vec<BigUint>>,
-    /// Per-component, per-group `W2[j] = Σ_t W_comp[j+t] · genv[t]`.
+    /// Per-component, per-group `W2[j] = Σ_t W_comp[j+t] · genv[t]`,
+    /// where `genv` is the group's derived leave-one-out environment.
     /// Contracting the group's masked difference vector with `W2`
     /// yields the Shapley numerator directly. Ground components hold an
     /// empty inner vector.
@@ -331,6 +348,40 @@ fn resolution_fingerprint(db: &Database, q: &ConjunctiveQuery) -> Vec<(bool, boo
             )
         })
         .collect()
+}
+
+/// A rooted component's satisfying value from its maintained product
+/// `unsat` (`U`): `complement(U, endo)`, or every coalition
+/// (`free(endo)`) once some group's unsatisfying value is zero.
+fn rooted_sat<D: EvalDomain>(dom: &D, unsat: &D::Value, zeros: usize, endo: usize) -> D::Value {
+    if zeros == 0 {
+        dom.complement(unsat, endo)
+    } else {
+        dom.free(endo)
+    }
+}
+
+/// Group `g`'s leave-one-out environment `free(junk) ⊛ ⊛_{h≠g} unsat_h`
+/// inside a rooted component of `comp_endo` endogenous facts, derived
+/// from the component's product `unsat` (`U`) and its zero count:
+/// `U / unsat_g` when no factor is zero, `U` for the single zero group,
+/// zero otherwise.
+fn group_env<D: EvalDomain>(
+    dom: &D,
+    unsat: &D::Value,
+    zeros: usize,
+    comp_endo: usize,
+    g: &RootGroup<D::Value>,
+) -> D::Value {
+    let zero = || dom.zero(comp_endo - g.endo);
+    match zeros {
+        // `unsat_g` is a nonzero factor of `U`, so the division is
+        // exact; only a cancelled kernel's placeholder can refuse it,
+        // and the engine's budget checkpoint discards those.
+        0 => dom.try_divide(unsat, &g.unsat).unwrap_or_else(zero),
+        1 if dom.is_zero(&g.unsat) => unsat.clone(),
+        _ => zero(),
+    }
 }
 
 impl<D: EvalDomain> CompiledEngine<D> {
@@ -457,7 +508,6 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     atoms: g_atoms,
                     scopes: g_scopes,
                     unsat,
-                    genv: Arc::new(dom.one()),
                     canon,
                 });
             }
@@ -467,10 +517,12 @@ impl<D: EvalDomain> CompiledEngine<D> {
                     locs.entry(f).or_insert(Loc::Junk { comp: ci });
                 }
             }
-            let unsat_refs: Vec<&D::Value> = groups.iter().map(|g| &g.unsat).collect();
-            let unsat_all = dom.product(&unsat_refs, threads);
-            let comp_unsat = dom.combine(&unsat_all, &dom.free(junk_endo));
-            let sat = dom.complement(&comp_unsat, endo);
+            let junk = dom.free(junk_endo);
+            let mut factors: Vec<&D::Value> = vec![&junk];
+            factors.extend(groups.iter().map(|g| &g.unsat).filter(|u| !dom.is_zero(u)));
+            let zeros = groups.len() + 1 - factors.len();
+            let unsat = dom.product(&factors, threads);
+            let sat = rooted_sat(&dom, &unsat, zeros, endo);
             components.push(Component {
                 atoms: sub_atoms,
                 rels: sub_rels,
@@ -481,34 +533,14 @@ impl<D: EvalDomain> CompiledEngine<D> {
                 env: dom.one(),
                 kind: CompKind::Rooted {
                     junk_endo,
-                    unsat_all,
+                    unsat,
+                    zeros,
                     groups,
                 },
             });
         }
 
         let free_endo = m - components.iter().map(|c| c.endo).sum::<usize>();
-
-        // Group-level leave-one-out environments, computed once by the
-        // work-stealing divide-and-conquer product tree and *cached*
-        // (updates maintain them by factor swaps instead of re-running
-        // the tree).
-        for comp in &mut components {
-            if let CompKind::Rooted {
-                junk_endo, groups, ..
-            } = &mut comp.kind
-            {
-                let unsat_refs: Vec<&D::Value> = groups.iter().map(|g| &g.unsat).collect();
-                // Isomorphic groups (equal `unsat`) may share one
-                // `Arc`'d environment straight out of the subsystem, so
-                // update-time factor swaps patch each distinct value
-                // once.
-                let genv = dom.leave_one_out_shared(&unsat_refs, &dom.free(*junk_endo), threads);
-                for (group, env) in groups.iter_mut().zip(genv) {
-                    group.genv = env;
-                }
-            }
-        }
 
         // Bucket layout: 0 = all zero-valued facts (free + junk), then
         // one bucket per ground component, then one per root group.
@@ -630,63 +662,46 @@ impl<D: EvalDomain> CompiledEngine<D> {
     }
 
     /// Re-runs the evaluation recursion for one root group and swaps
-    /// the updated `unsat` factor into every cached environment of the
-    /// component. Returns `false` when the swap is impossible (the old
-    /// factor was identically zero: an always-satisfied group zeroed
-    /// every environment, so nothing can be recovered incrementally).
+    /// its updated `unsat` factor into the component's product: one
+    /// exact division by the old factor and one combination with the
+    /// new one (a zero factor only moves the zero count). Returns
+    /// `false` when the division fails, which only a cancelled kernel's
+    /// placeholder can cause.
     fn recount_group(&mut self, db: &Database, ci: usize, gi: usize) -> Result<bool, CoreError> {
         let _span = Span::enter(obs_phase::RECOUNT);
         let view = MaskedDb::new(db, FactMask::None);
         let dom = &self.dom;
         let comp = &mut self.components[ci];
-        let (new_endo, comp_unsat) = {
-            let CompKind::Rooted {
-                junk_endo,
-                unsat_all,
-                groups,
-            } = &mut comp.kind
-            else {
-                // cqshap-lint: allow(no-panic) -- structural invariant: recount_group only targets components rooted at compile time
-                unreachable!("recount_group targets rooted components");
-            };
-            let g = &mut groups[gi];
-            g.endo = scope_endo_count(view, &g.scopes);
-            g.canon = Arc::new(canonical_form(db, &g.atoms, &g.scopes));
-            let sat_c = eval_rec(dom, view, &g.atoms, &g.scopes)?;
-            let unsat_new = dom.complement(&sat_c, g.endo);
-            let unsat_old = std::mem::replace(&mut g.unsat, unsat_new.clone());
-            if dom.is_zero(&unsat_old) {
-                return Ok(false);
-            }
-            let Some(quotient) = dom.try_divide(unsat_all, &unsat_old) else {
-                return Ok(false);
-            };
-            *unsat_all = dom.combine(&quotient, &unsat_new);
-            // Swap the updated factor into every *distinct* environment
-            // (shared Arcs make the per-group pass a pointer lookup).
-            let mut patched: HashMap<*const D::Value, Arc<D::Value>> = HashMap::new();
-            for (hi, h) in groups.iter_mut().enumerate() {
-                if hi == gi {
-                    continue;
-                }
-                if let Some(done) = patched.get(&Arc::as_ptr(&h.genv)) {
-                    h.genv = done.clone();
-                    continue;
-                }
-                let Some(quotient) = dom.try_divide(&h.genv, &unsat_old) else {
-                    return Ok(false);
-                };
-                let swapped = Arc::new(dom.combine(&quotient, &unsat_new));
-                patched.insert(Arc::as_ptr(&h.genv), swapped.clone());
-                h.genv = swapped;
-            }
-            (
-                groups.iter().map(|g| g.endo).sum::<usize>() + *junk_endo,
-                dom.combine(unsat_all, &dom.free(*junk_endo)),
-            )
+        let CompKind::Rooted {
+            junk_endo,
+            unsat,
+            zeros,
+            groups,
+        } = &mut comp.kind
+        else {
+            // cqshap-lint: allow(no-panic) -- structural invariant: recount_group only targets components rooted at compile time
+            unreachable!("recount_group targets rooted components");
         };
-        comp.endo = new_endo;
-        comp.sat = self.dom.complement(&comp_unsat, new_endo);
+        let g = &mut groups[gi];
+        g.endo = scope_endo_count(view, &g.scopes);
+        g.canon = Arc::new(canonical_form(db, &g.atoms, &g.scopes));
+        let sat_c = eval_rec(dom, view, &g.atoms, &g.scopes)?;
+        let unsat_old = std::mem::replace(&mut g.unsat, dom.complement(&sat_c, g.endo));
+        if dom.is_zero(&unsat_old) {
+            *zeros -= 1;
+        } else {
+            let Some(quotient) = dom.try_divide(unsat, &unsat_old) else {
+                return Ok(false);
+            };
+            *unsat = quotient;
+        }
+        if dom.is_zero(&g.unsat) {
+            *zeros += 1;
+        } else {
+            *unsat = dom.combine(unsat, &g.unsat);
+        }
+        comp.endo = groups.iter().map(|g| g.endo).sum::<usize>() + *junk_endo;
+        comp.sat = rooted_sat(dom, unsat, *zeros, comp.endo);
         Ok(true)
     }
 
@@ -700,59 +715,36 @@ impl<D: EvalDomain> CompiledEngine<D> {
     }
 
     /// Shifts a component's junk factor by ±1 endogenous fact:
-    /// `free(j+1) = free(j) ⊛ free(1)`, so every group environment
+    /// `free(j+1) = free(j) ⊛ free(1)`, so the component's product
     /// gains or sheds one `free(1)` factor —
-    /// [`EvalDomain::push_free`] / [`EvalDomain::pop_free`] (`O(n)`
-    /// Pascal shifts for counting, no-ops for probabilities) instead of
+    /// [`EvalDomain::push_free`] / [`EvalDomain::pop_free`] (an `O(n)`
+    /// Pascal shift for counting, a no-op for probabilities) instead of
     /// generic combination/division.
     fn shift_junk(&mut self, ci: usize, grow: bool) -> bool {
         let dom = &self.dom;
         let comp = &mut self.components[ci];
-        let (new_endo, comp_unsat) = {
-            let CompKind::Rooted {
-                junk_endo,
-                unsat_all,
-                groups,
-            } = &mut comp.kind
-            else {
-                // cqshap-lint: allow(no-panic) -- structural invariant: junk groups exist only inside rooted components
-                unreachable!("junk lives in rooted components");
-            };
-            let mut patched: HashMap<*const D::Value, Arc<D::Value>> = HashMap::new();
-            if grow {
-                *junk_endo += 1;
-                for g in groups.iter_mut() {
-                    if let Some(done) = patched.get(&Arc::as_ptr(&g.genv)) {
-                        g.genv = done.clone();
-                        continue;
-                    }
-                    let grown = Arc::new(dom.push_free(&g.genv));
-                    patched.insert(Arc::as_ptr(&g.genv), grown.clone());
-                    g.genv = grown;
-                }
-            } else {
-                *junk_endo -= 1;
-                for g in groups.iter_mut() {
-                    if let Some(done) = patched.get(&Arc::as_ptr(&g.genv)) {
-                        g.genv = done.clone();
-                        continue;
-                    }
-                    let Some(quotient) = dom.pop_free(&g.genv) else {
-                        return false;
-                    };
-                    let shrunk = Arc::new(quotient);
-                    patched.insert(Arc::as_ptr(&g.genv), shrunk.clone());
-                    g.genv = shrunk;
-                }
-            }
-            let grouped: usize = groups.iter().map(|g| g.endo).sum();
-            (
-                grouped + *junk_endo,
-                dom.combine(unsat_all, &dom.free(*junk_endo)),
-            )
+        let CompKind::Rooted {
+            junk_endo,
+            unsat,
+            zeros,
+            groups,
+        } = &mut comp.kind
+        else {
+            // cqshap-lint: allow(no-panic) -- structural invariant: junk groups exist only inside rooted components
+            unreachable!("junk lives in rooted components");
         };
-        comp.endo = new_endo;
-        comp.sat = self.dom.complement(&comp_unsat, new_endo);
+        if grow {
+            *junk_endo += 1;
+            *unsat = dom.push_free(unsat);
+        } else {
+            let Some(shrunk) = dom.pop_free(unsat) else {
+                return false;
+            };
+            *junk_endo -= 1;
+            *unsat = shrunk;
+        }
+        comp.endo = groups.iter().map(|g| g.endo).sum::<usize>() + *junk_endo;
+        comp.sat = rooted_sat(dom, unsat, *zeros, comp.endo);
         true
     }
 
@@ -966,17 +958,18 @@ impl<D: EvalDomain> CompiledEngine<D> {
             }
             Some(&Loc::Junk { comp }) => {
                 let c = &self.components[comp];
-                let CompKind::Rooted {
-                    junk_endo,
-                    unsat_all,
-                    ..
-                } = &c.kind
-                else {
+                let CompKind::Rooted { unsat, zeros, .. } = &c.kind else {
                     // cqshap-lint: allow(no-panic) -- structural invariant: junk locs always point at rooted components
                     unreachable!("junk loc points at a rooted component");
                 };
-                let comp_unsat = self.dom.combine(unsat_all, &self.dom.free(junk_endo - 1));
-                let comp_sat = self.dom.complement(&comp_unsat, c.endo - 1);
+                // Dropping the junk fact sheds one `free(1)` factor of
+                // `U`, which holds `free(junk)` with `junk ≥ 1`, so the
+                // shift is exact.
+                let unsat = self
+                    .dom
+                    .pop_free(unsat)
+                    .unwrap_or_else(|| self.dom.zero(c.endo - 1));
+                let comp_sat = rooted_sat(&self.dom, &unsat, *zeros, c.endo - 1);
                 let v = self.dom.combine(&c.env, &comp_sat);
                 Ok((v.clone(), v))
             }
@@ -1003,7 +996,8 @@ impl<D: EvalDomain> CompiledEngine<D> {
     }
 
     /// Lifts a group-local masked pair to full-query values through the
-    /// group's environment and the component's environment.
+    /// group's environment (derived here: one division) and the
+    /// component's environment.
     fn lift_group_pair(
         &self,
         ci: usize,
@@ -1011,14 +1005,21 @@ impl<D: EvalDomain> CompiledEngine<D> {
         pair: (D::Value, D::Value),
     ) -> (D::Value, D::Value) {
         let c = &self.components[ci];
-        let CompKind::Rooted { groups, .. } = &c.kind else {
+        let CompKind::Rooted {
+            unsat,
+            zeros,
+            groups,
+            ..
+        } = &c.kind
+        else {
             // cqshap-lint: allow(no-panic) -- structural invariant: lift_group_pair targets grouped, hence rooted, components
             unreachable!("lift_group_pair targets rooted components");
         };
         let g = &groups[gi];
+        let genv = group_env(&self.dom, unsat, *zeros, c.endo, g);
         let lift = |sat: &D::Value| {
             let unsat = self.dom.complement(sat, g.endo - 1);
-            let comp_unsat = self.dom.combine(&g.genv, &unsat);
+            let comp_unsat = self.dom.combine(&genv, &unsat);
             let comp_sat = self.dom.complement(&comp_unsat, c.endo - 1);
             self.dom.combine(&c.env, &comp_sat)
         };
@@ -1155,6 +1156,7 @@ impl CompiledCount {
             .map(|k| self.table.shapley_weight_numerator(m, k))
             .collect();
 
+        let dom = &self.eng.dom;
         let comps = &self.eng.components;
         self.comp_weights = par_map_with(threads, comps.len(), |i| {
             correlate(&w, &comps[i].env, comps[i].endo)
@@ -1165,14 +1167,19 @@ impl CompiledCount {
             .enumerate()
             .map(|(ci, comp)| match &comp.kind {
                 CompKind::Ground => Vec::new(),
-                CompKind::Rooted { groups, .. } => {
+                CompKind::Rooted {
+                    unsat,
+                    zeros,
+                    groups,
+                    ..
+                } => {
                     // Groups with equal `unsat` polynomials are
                     // isomorphic: their leave-one-out environments
                     // (products over the *other* groups) and weight
                     // correlations coincide, so one representative
-                    // correlation serves the whole class. Uniform
-                    // workloads (many structurally identical groups)
-                    // collapse to a handful of correlations.
+                    // environment is derived and correlated for the
+                    // whole class. Uniform workloads (many structurally
+                    // identical groups) collapse to a handful of both.
                     let n = groups.len();
                     let mut class_of = vec![0usize; n];
                     let mut reps: Vec<usize> = Vec::new();
@@ -1189,7 +1196,8 @@ impl CompiledCount {
                     }
                     let rep_weights = par_map_with(threads, reps.len(), |r| {
                         let g = &groups[reps[r]];
-                        correlate(&comp_weights[ci], &g.genv, g.endo)
+                        let genv = group_env(dom, unsat, *zeros, comp.endo, g);
+                        correlate(&comp_weights[ci], &genv, g.endo)
                     });
                     (0..n).map(|g| rep_weights[class_of[g]].clone()).collect()
                 }
@@ -1969,6 +1977,80 @@ mod tests {
         assert_prob_update_matches_fresh(&db, &mut engine, &q1, EngineUpdate::Inserted(eve_stud));
         let eve_reg = db.add_endo("Reg", &["Eve", "OS"]).unwrap();
         assert!(!engine.update(&db, EngineUpdate::Inserted(eve_reg)).unwrap());
+    }
+
+    #[test]
+    fn zero_factor_groups_are_absorbed_incrementally() {
+        // Eve's and Fay's root groups are satisfied by exogenous facts
+        // alone (no TA fact), so their unsatisfying values are zero in
+        // both domains.
+        let mut db = university();
+        for student in ["Eve", "Fay"] {
+            db.add_exo("Stud", &[student]).unwrap();
+            db.add_exo("Reg", &[student, "OS"]).unwrap();
+        }
+        let q1 = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+        let probs = cycled_probs(&db);
+        let mut count = CompiledCount::compile(&db, &q1).unwrap();
+        let mut prob = CompiledProbability::compile(&db, &q1, probs.clone()).unwrap();
+        let mut absorb = |db: &Database, change: EngineUpdate| {
+            assert!(
+                count.update(db, change).unwrap(),
+                "counting declined {change:?}"
+            );
+            assert!(
+                prob.update(db, change).unwrap(),
+                "probability declined {change:?}"
+            );
+            let fresh = CompiledCount::compile(db, &q1).unwrap();
+            let fresh_prob = CompiledProbability::compile(db, &q1, probs.clone()).unwrap();
+            assert_eq!(count.total_counts(), fresh.total_counts(), "{change:?}");
+            assert_eq!(prob.probability(), fresh_prob.probability(), "{change:?}");
+            for &f in db.endo_facts() {
+                let at = format!("{} after {change:?}", db.render_fact(f));
+                assert_eq!(
+                    count.value(db, f).unwrap(),
+                    fresh.value(db, f).unwrap(),
+                    "{at}"
+                );
+                assert_eq!(
+                    count.counts_pair(db, f).unwrap(),
+                    fresh.counts_pair(db, f).unwrap(),
+                    "{at}"
+                );
+                assert_eq!(
+                    prob.conditioned_pair(db, f).unwrap(),
+                    fresh_prob.conditioned_pair(db, f).unwrap(),
+                    "{at}"
+                );
+            }
+        };
+
+        // Another group's write while two zero factors stand.
+        let adam = db.find_fact("TA", &["Adam"]).unwrap();
+        db.set_fact_provenance(adam, Provenance::Exogenous).unwrap();
+        absorb(&db, EngineUpdate::ProvenanceFlipped(adam));
+        // Fay's factor turns nonzero; Eve's zero factor stands.
+        let fay = db.add_endo("TA", &["Fay"]).unwrap();
+        absorb(&db, EngineUpdate::Inserted(fay));
+        // A junk fact while the zero factor stands.
+        let junk = db.add_endo("TA", &["Nadia"]).unwrap();
+        absorb(&db, EngineUpdate::Inserted(junk));
+        // Writes to the zero group: it stays zero, turns nonzero, stays
+        // nonzero, and turns zero again.
+        let reg = db.add_endo("Reg", &["Eve", "DB"]).unwrap();
+        absorb(&db, EngineUpdate::Inserted(reg));
+        let eve = db.add_endo("TA", &["Eve"]).unwrap();
+        absorb(&db, EngineUpdate::Inserted(eve));
+        db.set_fact_provenance(eve, Provenance::Exogenous).unwrap();
+        absorb(&db, EngineUpdate::ProvenanceFlipped(eve));
+        db.retract_fact(eve).unwrap();
+        absorb(&db, EngineUpdate::Retracted(eve));
+        db.retract_fact(junk).unwrap();
+        absorb(&db, EngineUpdate::Retracted(junk));
+        db.set_fact_provenance(adam, Provenance::Endogenous)
+            .unwrap();
+        absorb(&db, EngineUpdate::ProvenanceFlipped(adam));
     }
 
     #[test]

@@ -36,7 +36,6 @@
 // cqshap-lint: allow-file(no-panic-index) -- evaluation tables are indexed by positions assigned at compile
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use cqshap_db::{Database, FactId, FactMask, World};
 use cqshap_numeric::{poly, BigRational, BigUint, BinomialCache, CancelToken};
@@ -44,8 +43,8 @@ use cqshap_numeric::{poly, BigRational, BigUint, BinomialCache, CancelToken};
 use crate::anyquery::AnyQuery;
 use crate::error::CoreError;
 use crate::satcount::{
-    complement_counts, connected_components, find_root_var, resolve_query, root_candidates,
-    root_group_scopes, scope_endo_count, MaskedDb, PAtom, ResolvedQuery,
+    connected_components, find_root_var, resolve_query, root_candidates, root_group_scopes,
+    scope_endo_count, MaskedDb, PAtom, ResolvedQuery,
 };
 
 /// The value algebra of the `CntSat`/lifted-inference recursion.
@@ -68,12 +67,14 @@ use crate::satcount::{
 /// * [`try_divide`](EvalDomain::try_divide) — exact division, the
 ///   enabler of incremental maintenance: swapping one factor of a
 ///   cached product is division by the old factor and combination with
-///   the new one. `None` signals the swap is impossible (zero factor)
-///   and the caller must rebuild.
+///   the new one (the engines keep zero factors out of their products
+///   and count them instead). `None` signals the division is impossible
+///   (a zero or non-dividing factor).
 ///
 /// The remaining methods are performance hooks with sound defaults;
 /// [`CountingDomain`] overrides them with the parallel product-tree /
-/// Pascal-shift fast paths of the `poly` subsystem.
+/// Pascal-shift fast paths of the `poly` subsystem, and
+/// [`ProbabilityDomain`] makes the free-fact shifts identities.
 pub trait EvalDomain: Sync {
     /// The value type: coalition-count polynomials for counting, exact
     /// probabilities for the tuple-independent domain.
@@ -142,21 +143,6 @@ pub trait EvalDomain: Sync {
         }
         (0..n)
             .map(|i| self.combine(&prefix[i], &suffix[i + 1]))
-            .collect()
-    }
-
-    /// [`EvalDomain::leave_one_out`] behind shared pointers: equal
-    /// environments may share one allocation, so incremental factor
-    /// swaps can patch each *distinct* value once.
-    fn leave_one_out_shared(
-        &self,
-        factors: &[&Self::Value],
-        seed: &Self::Value,
-        threads: usize,
-    ) -> Vec<Arc<Self::Value>> {
-        self.leave_one_out(factors, seed, threads)
-            .into_iter()
-            .map(Arc::new)
             .collect()
     }
 
@@ -262,13 +248,23 @@ impl EvalDomain for CountingDomain {
 
     fn complement(&self, v: &Vec<BigUint>, endo: usize) -> Vec<BigUint> {
         // A cancelled polynomial kernel hands back placeholder counts
-        // that may exceed C(n, k); `complement_counts` would underflow
-        // on them. The flag is sticky and the engine checkpoints before
+        // that may exceed C(n, k); the subtraction would underflow on
+        // them. The flag is sticky and the engine checkpoints before
         // returning, so a shaped placeholder is all that is needed here.
         if self.cancel.as_ref().is_some_and(|t| t.should_stop()) {
             return vec![BigUint::zero(); endo + 1];
         }
-        complement_counts(v, endo)
+        debug_assert_eq!(v.len(), endo + 1);
+        self.binoms
+            .row(endo)
+            .iter()
+            .zip(v)
+            .map(|(c, x)| {
+                c.checked_sub(x)
+                    // cqshap-lint: allow(no-panic) -- the running count is bounded by C(n, k) by construction
+                    .expect("count bounded by C(n, k)")
+            })
+            .collect()
     }
 
     fn present(&self, _f: FactId, endo: bool) -> Vec<BigUint> {
@@ -309,19 +305,6 @@ impl EvalDomain for CountingDomain {
     ) -> Vec<Vec<BigUint>> {
         let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
         poly::leave_one_out_products(&refs, seed, threads)
-    }
-
-    fn leave_one_out_shared(
-        &self,
-        factors: &[&Vec<BigUint>],
-        seed: &Vec<BigUint>,
-        threads: usize,
-    ) -> Vec<Arc<Vec<BigUint>>> {
-        let refs: Vec<&[BigUint]> = factors.iter().map(|f| f.as_slice()).collect();
-        match &self.cancel {
-            Some(token) => poly::leave_one_out_products_shared_cancel(&refs, seed, threads, token),
-            None => poly::leave_one_out_products_shared(&refs, seed, threads),
-        }
     }
 
     fn push_free(&self, v: &Vec<BigUint>) -> Vec<BigUint> {
@@ -505,6 +488,14 @@ impl EvalDomain for ProbabilityDomain {
         } else {
             Some(num / den)
         }
+    }
+
+    fn push_free(&self, v: &BigRational) -> BigRational {
+        v.clone()
+    }
+
+    fn pop_free(&self, v: &BigRational) -> Option<BigRational> {
+        Some(v.clone())
     }
 
     fn cancel_token(&self) -> Option<&CancelToken> {

@@ -30,7 +30,7 @@
 // cqshap-lint: allow-file(no-panic-index) -- world enumeration indexes count arrays sized bits+1 up front
 
 use cqshap_db::{ConstId, Database, FactId, FactMask, World};
-use cqshap_numeric::{binomial, BigUint};
+use cqshap_numeric::BigUint;
 use cqshap_query::{has_self_join, is_hierarchical, ConjunctiveQuery, Term};
 
 use crate::anyquery::AnyQuery;
@@ -341,20 +341,6 @@ pub(crate) fn scope_endo_count(view: MaskedDb<'_>, scopes: &[Vec<FactId>]) -> us
         .count()
 }
 
-/// `[C(n,k) - v[k]]_k` — flipping between satisfying and unsatisfying
-/// counts over `n` endogenous facts.
-pub(crate) fn complement_counts(v: &[BigUint], n: usize) -> Vec<BigUint> {
-    debug_assert_eq!(v.len(), n + 1);
-    (0..=n)
-        .map(|k| {
-            binomial(n, k)
-                .checked_sub(&v[k])
-                // cqshap-lint: allow(no-panic) -- the running count is bounded by C(n, k) by construction
-                .expect("count bounded by C(n, k)")
-        })
-        .collect()
-}
-
 /// Root values with *full positive support*: the candidates of case 3.
 /// All other facts are junk (they can never participate in a satisfying
 /// homomorphism of this sub-query).
@@ -622,6 +608,7 @@ impl SatCountOracle for BruteForceCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqshap_numeric::binomial;
     use cqshap_query::parse_cq;
 
     fn counts_match(db: &Database, q: &ConjunctiveQuery) {

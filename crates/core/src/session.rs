@@ -43,9 +43,10 @@
 //! and [`ShapleySession::set_exogenous`] can mutate it in place (fact
 //! ids stay stable — see [`Database::retract_fact`]) and *maintain* both
 //! instantiations term by term: only the touched root group's counting
-//! recursion re-runs, the cached leave-one-out environments are patched
-//! by exact factor swaps, and the weight correlations are refreshed in
-//! parallel (see [`CompiledCount::update`]). An update must be absorbed
+//! recursion re-runs, its factor is swapped into its component's one
+//! maintained product by an exact division and a multiplication, and
+//! the weight correlations are refreshed in parallel (see
+//! [`CompiledCount::update`]). An update must be absorbed
 //! by every term; otherwise — structural drift, a rewritten term, a
 //! per-fact or aggregate route — the session re-plans. Either way its
 //! answers are bit-identical to a freshly prepared session on the same

@@ -348,7 +348,7 @@ pub fn leave_one_out_products_with(
     threads: usize,
     backend: Backend,
 ) -> Vec<Vec<BigUint>> {
-    leave_one_out_impl(polys, seed, resolve_threads(threads), backend, None)
+    leave_one_out_impl(polys, seed, resolve_threads(threads), backend)
         .into_iter()
         .map(|env| match std::sync::Arc::try_unwrap(env) {
             Ok(v) => v,
@@ -366,26 +366,7 @@ pub fn leave_one_out_products_shared(
     seed: &[BigUint],
     threads: usize,
 ) -> Vec<std::sync::Arc<Vec<BigUint>>> {
-    leave_one_out_impl(polys, seed, resolve_threads(threads), Backend::Auto, None)
-}
-
-/// [`leave_one_out_products_shared`] with a cooperative [`CancelToken`]
-/// checked through the product tree and the per-factor divisions. Same
-/// contract as [`product_tree_cancel`]: check the token before using
-/// the result.
-pub fn leave_one_out_products_shared_cancel(
-    polys: &[&[BigUint]],
-    seed: &[BigUint],
-    threads: usize,
-    cancel: &CancelToken,
-) -> Vec<std::sync::Arc<Vec<BigUint>>> {
-    leave_one_out_impl(
-        polys,
-        seed,
-        resolve_threads(threads),
-        Backend::Auto,
-        Some(cancel),
-    )
+    leave_one_out_impl(polys, seed, resolve_threads(threads), Backend::Auto)
 }
 
 /// An owned polynomial over [`BigUint`] coefficients (index = degree),
@@ -1014,7 +995,6 @@ fn leave_one_out_impl(
     seed: &[BigUint],
     threads: usize,
     backend: Backend,
-    cancel: Option<&CancelToken>,
 ) -> Vec<std::sync::Arc<Vec<BigUint>>> {
     use std::sync::Arc;
     match polys {
@@ -1044,14 +1024,8 @@ fn leave_one_out_impl(
                 class_of[i] = c;
             }
         }
-        let total = tree_product(polys, threads, backend, cancel);
+        let total = tree_product(polys, threads, backend, None);
         let full = mul_with(seed, &total, backend);
-        if cancel.is_some_and(|c| c.charge(1)) {
-            // Don't run the per-factor divisions against a placeholder
-            // product; hand back right-shaped placeholder environments.
-            let env = Arc::new(seed.to_vec());
-            return vec![env; polys.len()];
-        }
         let rep_envs = par_map_chunks(threads, reps.len(), |r| exact_div(&full, polys[reps[r]]));
         if let Some(envs) = rep_envs.into_iter().collect::<Option<Vec<Vec<BigUint>>>>() {
             let rep_envs: Vec<Arc<Vec<BigUint>>> = envs.into_iter().map(Arc::new).collect();
@@ -1060,7 +1034,7 @@ fn leave_one_out_impl(
         // Unreachable for exact inputs, but the descent is always
         // correct — prefer a slow answer to a panic.
     }
-    fill_leave_one_out(polys, seed.to_vec(), threads, backend, cancel)
+    fill_leave_one_out(polys, seed.to_vec(), threads, backend)
         .into_iter()
         .map(Arc::new)
         .collect()
@@ -1102,24 +1076,18 @@ fn fill_leave_one_out(
     acc: Vec<BigUint>,
     threads: usize,
     backend: Backend,
-    cancel: Option<&CancelToken>,
 ) -> Vec<Vec<BigUint>> {
     match polys {
         [] => Vec::new(),
         [_] => vec![acc],
         _ => {
-            if let Some(c) = cancel {
-                if c.charge(1) {
-                    return vec![acc; polys.len()];
-                }
-            }
             let (left, right) = polys.split_at(polys.len() / 2);
             let size = work_size(polys);
             let (left_product, right_product) = join_halves(
                 threads,
                 size,
-                || tree_product(left, threads - threads / 2, backend, cancel),
-                || tree_product(right, threads / 2, backend, cancel),
+                || tree_product(left, threads - threads / 2, backend, None),
+                || tree_product(right, threads / 2, backend, None),
             );
             let (mut lo, ro) = join_halves(
                 threads,
@@ -1127,19 +1095,17 @@ fn fill_leave_one_out(
                 || {
                     fill_leave_one_out(
                         left,
-                        mul_impl(&acc, &right_product, backend, cancel),
+                        mul_with(&acc, &right_product, backend),
                         threads - threads / 2,
                         backend,
-                        cancel,
                     )
                 },
                 || {
                     fill_leave_one_out(
                         right,
-                        mul_impl(&acc, &left_product, backend, cancel),
+                        mul_with(&acc, &left_product, backend),
                         threads / 2,
                         backend,
-                        cancel,
                     )
                 },
             );
@@ -1401,8 +1367,6 @@ mod tests {
         tripped.cancel();
         let _ = product_tree_cancel(&refs, 1, &tripped);
         assert!(tripped.should_stop(), "the flag stays sticky");
-        let envs = leave_one_out_products_shared_cancel(&refs, &v(&[1]), 1, &tripped);
-        assert_eq!(envs.len(), refs.len(), "placeholders keep the shape");
     }
 
     #[test]

@@ -274,3 +274,67 @@ proptest! {
         }
     }
 }
+
+/// A root group satisfied by exogenous facts alone has a zero
+/// unsatisfying factor. Writes to that group and to the other groups
+/// are absorbed incrementally, and after each one the Shapley report,
+/// `Pr[q]` and every expected marginal equal a fresh prepare's, bit for
+/// bit.
+#[test]
+fn zero_factor_groups_are_maintained_incrementally() {
+    let q = parse_cq("q1() :- Stud(x), !TA(x), Reg(x, y)").unwrap();
+    let mut db = cqshap::workloads::figure_1_database();
+    db.add_exo("Stud", &["Eve"]).unwrap();
+    db.add_exo("Reg", &["Eve", "OS"]).unwrap();
+    let opts = ShapleyOptions::auto();
+    let mut session = ShapleySession::prepare(&db, AnyQuery::Cq(&q), &opts).unwrap();
+    let third = BigRational::from_i64_ratio(1, 3);
+    for &f in db.endo_facts().iter().step_by(2) {
+        session.set_probability(f, third.clone()).unwrap();
+    }
+
+    let check = |session: &mut ShapleySession, incremental: usize| {
+        assert_eq!(session.stats().incremental_updates, incremental);
+        assert_eq!(session.stats().full_recompiles, 0);
+        assert_matches_fresh(session, AnyQuery::Cq(&q), &opts);
+        let mut fresh =
+            ShapleySession::prepare(session.database(), AnyQuery::Cq(&q), &opts).unwrap();
+        for &f in session.database().endo_facts() {
+            fresh
+                .set_probability(f, session.probabilities().get(f).clone())
+                .unwrap();
+        }
+        assert_eq!(session.probability().unwrap(), fresh.probability().unwrap());
+        for f in session.database().endo_facts().to_vec() {
+            assert_eq!(
+                session.expected_shapley(f).unwrap(),
+                fresh.expected_shapley(f).unwrap(),
+                "{}",
+                session.database().render_fact(f)
+            );
+        }
+    };
+    // Build the probability route before the first write.
+    check(&mut session, 0);
+
+    // Another group's write while the zero factor stands.
+    let adam = session.database().find_fact("TA", &["Adam"]).unwrap();
+    session.set_exogenous(adam, true).unwrap();
+    check(&mut session, 1);
+    // Writes to the zero group: it stays zero, turns nonzero, stays
+    // nonzero, and turns zero again.
+    session
+        .insert_fact("Reg", &["Eve", "DB"], Provenance::Endogenous)
+        .unwrap();
+    check(&mut session, 2);
+    let eve = session
+        .insert_fact("TA", &["Eve"], Provenance::Endogenous)
+        .unwrap();
+    check(&mut session, 3);
+    session.set_exogenous(eve, true).unwrap();
+    check(&mut session, 4);
+    session.retract_fact(eve).unwrap();
+    check(&mut session, 5);
+    session.set_exogenous(adam, false).unwrap();
+    check(&mut session, 6);
+}
